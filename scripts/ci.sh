@@ -33,6 +33,8 @@
 # router threads with report-byte determinism ("deterministic": true) and
 # the admission budget audit ("admission_violations": 0). A control-plane
 # smoke rides both the plain and ASan builds next to the campaign smoke.
+# The perfbench smoke (python3 perfbench/run.py --smoke) rides the plain
+# build and fails CI when any of its correctness checks fails.
 # A ~74-scenario campaign smoke also gates
 # both the plain and sanitizer builds: every failure must land in an
 # expected bucket (unexpected == 0), and the recovery-equivalence and
@@ -78,6 +80,19 @@ if ! ./build/bench/control_plane_sweep --smoke \
   exit 1
 fi
 rm -f BENCH_control_plane_smoke.json.tmp
+
+# Repository benchmark smoke: all four perfbench workloads at tiny sizes
+# with every correctness check — cloned worlds equal their cold-booted
+# twins, replays match their recordings (digest_match and the recording's
+# digest), the campaign batch has no unexpected failure, and a repeated
+# serve reproduces its report. run.py builds perfbench in Release under
+# .bench_build/ (or $CARGO_TARGET_DIR) and exits nonzero on any failed
+# check.
+echo "=== perfbench smoke: plain build ==="
+if ! python3 perfbench/run.py --smoke; then
+  echo "FAIL: perfbench smoke (a correctness check failed)" >&2
+  exit 1
+fi
 
 if [[ "$REPEAT_DETERMINISM" == "1" ]]; then
   # Nondeterminism is flaky by nature: one green run proves little. Re-run

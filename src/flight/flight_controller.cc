@@ -33,7 +33,17 @@ FlightController::FlightController(SimClock* clock, QuadPhysics* physics,
       // The window must outlast a sender's largest retransmission gap.
       deduper_(clock, /*window=*/Seconds(5)),
       position_ctrl_(physics->hover_throttle(), PositionControllerLimits{}),
-      safety_(clock, config.safety, physics->hover_throttle()) {
+      safety_(clock, config.safety, physics->hover_throttle()),
+      loops_{{
+          {"fc.fast", clock->AddLane([this] { FastLoop(); }),
+           SecondsF(1.0 / config.fast_loop_hz)},
+          {"fc.heartbeat", clock->AddLane([this] { HeartbeatTick(); }),
+           SecondsF(1.0 / config.heartbeat_hz)},
+          {"fc.attitude", clock->AddLane([this] { AttitudeTick(); }),
+           SecondsF(1.0 / config.attitude_telemetry_hz)},
+          {"fc.position", clock->AddLane([this] { PositionTick(); }),
+           SecondsF(1.0 / config.position_telemetry_hz)},
+      }} {
   safety_.SetStageCallback(
       [this](SafetyStage stage, uint32_t reasons) {
         OnSafetyStage(stage, reasons);
@@ -49,22 +59,17 @@ void FlightController::Start() {
     return;
   }
   running_ = true;
-  fast_loop_event_ = clock_->ScheduleAfter(SecondsF(1.0 / config_.fast_loop_hz),
-                                           [this] { FastLoop(); });
-  StartTelemetry();
+  // Fast loop first, then telemetry: the arming order is the FIFO order of
+  // same-deadline ticks.
+  for (PeriodicLoop& loop : loops_) {
+    Rearm(loop);
+  }
 }
 
 void FlightController::Stop() { running_ = false; }
 
-void FlightController::StartTelemetry() {
-  heartbeat_event_ = clock_->ScheduleAfter(SecondsF(1.0 / config_.heartbeat_hz),
-                                           [this] { HeartbeatTick(); });
-  attitude_event_ =
-      clock_->ScheduleAfter(SecondsF(1.0 / config_.attitude_telemetry_hz),
-                            [this] { AttitudeTick(); });
-  position_event_ =
-      clock_->ScheduleAfter(SecondsF(1.0 / config_.position_telemetry_hz),
-                            [this] { PositionTick(); });
+void FlightController::Rearm(PeriodicLoop& loop) {
+  loop.event = clock_->ArmLane(loop.lane, clock_->now() + loop.period);
 }
 
 void FlightController::HeartbeatTick() {
@@ -78,8 +83,7 @@ void FlightController::HeartbeatTick() {
   hb.system_status = static_cast<uint8_t>(armed_ ? MavState::kActive
                                                  : MavState::kStandby);
   Send(MavMessage{hb});
-  heartbeat_event_ = clock_->ScheduleAfter(SecondsF(1.0 / config_.heartbeat_hz),
-                                           [this] { HeartbeatTick(); });
+  Rearm(loops_[kHeartbeat]);
 }
 
 void FlightController::AttitudeTick() {
@@ -92,9 +96,7 @@ void FlightController::AttitudeTick() {
   att.pitch = static_cast<float>(estimator_.attitude().pitch_rad);
   att.yaw = static_cast<float>(estimator_.attitude().yaw_rad);
   Send(MavMessage{att});
-  attitude_event_ =
-      clock_->ScheduleAfter(SecondsF(1.0 / config_.attitude_telemetry_hz),
-                            [this] { AttitudeTick(); });
+  Rearm(loops_[kAttitude]);
 }
 
 void FlightController::PositionTick() {
@@ -144,9 +146,7 @@ void FlightController::PositionTick() {
       (10.5 + 2.1 * std::max(0.0, sensed)) * 1000);
   ss.battery_remaining = static_cast<int8_t>(sensed * 100);
   Send(MavMessage{ss});
-  position_event_ =
-      clock_->ScheduleAfter(SecondsF(1.0 / config_.position_telemetry_hz),
-                            [this] { PositionTick(); });
+  Rearm(loops_[kPosition]);
 }
 
 NedPoint FlightController::EstimatedNed() const {
@@ -244,7 +244,7 @@ void FlightController::FastLoop() {
   if (!running_) {
     return;
   }
-  SimDuration period = SecondsF(1.0 / config_.fast_loop_hz);
+  const SimDuration period = loops_[kFastLoop].period;
   ++fast_loops_;
 
   // Replay fast path (DESIGN.md §15): drive this tick from the recorded
@@ -367,7 +367,7 @@ void FlightController::FastLoop() {
     plane_recorder_(sample);
   }
 
-  fast_loop_event_ = clock_->ScheduleAfter(period, [this] { FastLoop(); });
+  Rearm(loops_[kFastLoop]);
 }
 
 void FlightController::RunControl(SimDuration dt, bool replaying) {
@@ -993,23 +993,12 @@ void FlightController::SaveState(SnapshotWriter& w,
   safety_.SaveState(w);
   log_.SaveState(w);
 
-  SimTime when = 0;
-  uint64_t seq = 0;
-  if (fast_loop_event_ != 0 &&
-      clock_->PendingInfo(fast_loop_event_, &when, &seq)) {
-    timers.Add("fc.fast", when, seq);
-  }
-  if (heartbeat_event_ != 0 &&
-      clock_->PendingInfo(heartbeat_event_, &when, &seq)) {
-    timers.Add("fc.heartbeat", when, seq);
-  }
-  if (attitude_event_ != 0 &&
-      clock_->PendingInfo(attitude_event_, &when, &seq)) {
-    timers.Add("fc.attitude", when, seq);
-  }
-  if (position_event_ != 0 &&
-      clock_->PendingInfo(position_event_, &when, &seq)) {
-    timers.Add("fc.position", when, seq);
+  for (const PeriodicLoop& loop : loops_) {
+    SimTime when = 0;
+    uint64_t seq = 0;
+    if (loop.event != 0 && clock_->PendingInfo(loop.event, &when, &seq)) {
+      timers.Add(loop.key, when, seq);
+    }
   }
 }
 
@@ -1087,26 +1076,18 @@ Status FlightController::RestoreState(SnapshotReader& r) {
   if (it != params_.end()) {
     position_ctrl_.set_max_speed(it->second);
   }
-  fast_loop_event_ = 0;
-  heartbeat_event_ = 0;
-  attitude_event_ = 0;
-  position_event_ = 0;
+  for (PeriodicLoop& loop : loops_) {
+    loop.event = 0;
+  }
   return OkStatus();
 }
 
 void FlightController::RegisterTimers(TimerRearmer& rearmer) {
-  rearmer.Register("fc.fast", [this](SimTime when) {
-    fast_loop_event_ = clock_->ScheduleAt(when, [this] { FastLoop(); });
-  });
-  rearmer.Register("fc.heartbeat", [this](SimTime when) {
-    heartbeat_event_ = clock_->ScheduleAt(when, [this] { HeartbeatTick(); });
-  });
-  rearmer.Register("fc.attitude", [this](SimTime when) {
-    attitude_event_ = clock_->ScheduleAt(when, [this] { AttitudeTick(); });
-  });
-  rearmer.Register("fc.position", [this](SimTime when) {
-    position_event_ = clock_->ScheduleAt(when, [this] { PositionTick(); });
-  });
+  for (PeriodicLoop& loop : loops_) {
+    rearmer.Register(loop.key, [this, &loop](SimTime when) {
+      loop.event = clock_->ArmLane(loop.lane, when);
+    });
+  }
 }
 
 }  // namespace androne

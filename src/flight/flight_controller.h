@@ -13,6 +13,7 @@
 #ifndef SRC_FLIGHT_FLIGHT_CONTROLLER_H_
 #define SRC_FLIGHT_FLIGHT_CONTROLLER_H_
 
+#include <array>
 #include <deque>
 #include <functional>
 #include <map>
@@ -217,7 +218,6 @@ class FlightController {
   void OnSafetyStage(SafetyStage stage, uint32_t reasons);
   double SensedBatteryFraction() const;
   NedPoint EstimatedNed() const;
-  void StartTelemetry();
   void HeartbeatTick();
   void AttitudeTick();
   void PositionTick();
@@ -280,12 +280,17 @@ class FlightController {
   uint64_t fast_loops_ = 0;
   uint64_t missed_deadlines_ = 0;
   uint8_t tx_seq_ = 0;
-  // Armed loop timers, retained so checkpoints can persist their deadlines
-  // (0 = not scheduled).
-  EventId fast_loop_event_ = 0;
-  EventId heartbeat_event_ = 0;
-  EventId attitude_event_ = 0;
-  EventId position_event_ = 0;
+  // The four fixed-rate loops, each on its own SimClock tick lane: the
+  // callback is bound once and every tick re-arms the lane one period on.
+  struct PeriodicLoop {
+    const char* key;  // Checkpoint timer key.
+    SimClock::LaneId lane;
+    SimDuration period;
+    EventId event = 0;  // Armed tick, retained for checkpoints (0 = none).
+  };
+  enum LoopIndex { kFastLoop, kHeartbeat, kAttitude, kPosition };
+  void Rearm(PeriodicLoop& loop);
+  std::array<PeriodicLoop, 4> loops_;
   // Sensor read scheduling (GPS 5 Hz, baro 25 Hz, mag 25 Hz).
   SimTime last_gps_read_ = -Seconds(1);
   SimTime last_slow_read_ = -Seconds(1);

@@ -24,7 +24,10 @@ void* Arena::Allocate(size_t bytes, size_t align) {
   // chunks mapped; a new generation walks forward through them).
   while (active_ < chunks_.size()) {
     Chunk& chunk = chunks_[active_];
-    size_t aligned = AlignUp(offset_, align);
+    // Align the address, not the offset: operator new only guarantees the
+    // chunk base to the default new alignment.
+    uintptr_t base = reinterpret_cast<uintptr_t>(chunk.data);
+    size_t aligned = AlignUp(base + offset_, align) - base;
     if (aligned + bytes <= chunk.size) {
       offset_ = aligned + bytes;
       bytes_used_ += bytes;

@@ -1,6 +1,7 @@
 #include "src/util/sim_clock.h"
 
 #include <algorithm>
+#include <tuple>
 #include <utility>
 
 namespace androne {
@@ -13,18 +14,21 @@ EventId PackId(uint32_t slot, uint32_t generation) {
 
 }  // namespace
 
+uint32_t SimClock::TakeSlot() {
+  if (!free_slots_.empty()) {
+    uint32_t slot = free_slots_.back();
+    free_slots_.pop_back();
+    return slot;
+  }
+  slots_.push_back(Slot{});
+  return static_cast<uint32_t>(slots_.size() - 1);
+}
+
 EventId SimClock::ScheduleAt(SimTime when, Callback cb) {
   if (when < now_) {
     when = now_;
   }
-  uint32_t slot;
-  if (!free_slots_.empty()) {
-    slot = free_slots_.back();
-    free_slots_.pop_back();
-  } else {
-    slot = static_cast<uint32_t>(slots_.size());
-    slots_.push_back(Slot{});
-  }
+  uint32_t slot = TakeSlot();
   uint32_t generation = slots_[slot].generation;
   heap_.push_back(Event{when, next_seq_++, slot, generation, std::move(cb)});
   std::push_heap(heap_.begin(), heap_.end(), Later{});
@@ -45,11 +49,67 @@ void SimClock::RetireSlot(uint32_t slot) {
   free_slots_.push_back(slot);
 }
 
+SimClock::LaneId SimClock::AddLane(Callback cb) {
+  lanes_.push_back(Lane{});
+  lanes_.back().cb = std::move(cb);
+  return static_cast<LaneId>(lanes_.size() - 1);
+}
+
+EventId SimClock::ArmLane(LaneId id, SimTime when) {
+  Lane& lane = lanes_[id];
+  if (lane.armed) {
+    DisarmLane(lane);
+  }
+  if (when < now_) {
+    when = now_;
+  }
+  lane.when = when;
+  lane.seq = next_seq_++;
+  lane.slot = TakeSlot();
+  lane.armed = true;
+  ++live_count_;
+  // The new stamp is the largest yet, so a deadline tie stays behind the
+  // cached lane.
+  if (next_lane_ == nullptr || when < next_lane_->when) {
+    next_lane_ = &lane;
+  }
+  return PackId(lane.slot, slots_[lane.slot].generation);
+}
+
+void SimClock::DisarmLane(Lane& lane) {
+  RetireSlot(lane.slot);
+  lane.armed = false;
+  --live_count_;
+  if (next_lane_ == &lane) {
+    next_lane_ = EarliestLane();
+  }
+}
+
+SimClock::Lane* SimClock::EarliestLane() {
+  Lane* earliest = nullptr;
+  for (Lane& lane : lanes_) {
+    if (lane.armed &&
+        (earliest == nullptr || std::tie(lane.when, lane.seq) <
+                                    std::tie(earliest->when, earliest->seq))) {
+      earliest = &lane;
+    }
+  }
+  return earliest;
+}
+
 bool SimClock::Cancel(EventId id) {
   uint32_t slot = static_cast<uint32_t>(id >> 32);
   uint32_t generation = static_cast<uint32_t>(id);
   if (slot >= slots_.size() || slots_[slot].generation != generation) {
     return false;  // Already ran, already cancelled, or never existed.
+  }
+  if (next_lane_ != nullptr) {  // Some lane is armed: is it this event?
+    for (Lane& lane : lanes_) {
+      if (lane.armed && lane.slot == slot) {
+        DisarmLane(lane);  // No tombstone to shed.
+        return true;
+      }
+    }
   }
   RetireSlot(slot);
   --live_count_;
@@ -78,6 +138,28 @@ void SimClock::MaybeCompact() {
   ++compactions_;
 }
 
+void SimClock::SkimTombstones() {
+  while (!heap_.empty() && !IsLive(heap_.front())) {
+    PopTop();
+    --cancelled_pending_;
+  }
+}
+
+void SimClock::RunLane() {
+  Lane& lane = *next_lane_;
+  DisarmLane(lane);
+  BeginDispatch(lane.when);
+  lane.cb();
+}
+
+void SimClock::RunHeapFront() {
+  Event ev = PopTop();
+  RetireSlot(ev.slot);
+  --live_count_;
+  BeginDispatch(ev.when);
+  ev.cb();
+}
+
 bool SimClock::PopAndRunLive() {
   if (live_count_ == 0) {
     // Only tombstones remain (if anything); shed them all at once.
@@ -85,23 +167,13 @@ bool SimClock::PopAndRunLive() {
     cancelled_pending_ = 0;
     return false;
   }
-  while (!heap_.empty()) {
-    Event ev = PopTop();
-    if (!IsLive(ev)) {
-      --cancelled_pending_;
-      continue;  // Tombstone of a cancelled event.
-    }
-    RetireSlot(ev.slot);
-    --live_count_;
-    now_ = ev.when;
-    ++events_run_;
-    if (dispatch_hook_) {
-      dispatch_hook_(now_);
-    }
-    ev.cb();
-    return true;
+  SkimTombstones();
+  if (LaneRunsNext()) {
+    RunLane();
+  } else {
+    RunHeapFront();  // Something is live and it is not a lane.
   }
-  return false;
+  return true;
 }
 
 bool SimClock::RunNext() { return PopAndRunLive(); }
@@ -111,6 +183,13 @@ bool SimClock::PendingInfo(EventId id, SimTime* when, uint64_t* seq) const {
   uint32_t generation = static_cast<uint32_t>(id);
   if (slot >= slots_.size() || slots_[slot].generation != generation) {
     return false;
+  }
+  for (const Lane& lane : lanes_) {
+    if (lane.armed && lane.slot == slot) {
+      *when = lane.when;
+      *seq = lane.seq;
+      return true;
+    }
   }
   for (const Event& ev : heap_) {
     if (ev.slot == slot && ev.generation == generation) {
@@ -129,6 +208,13 @@ void SimClock::ResetForRestore(SimTime now, uint64_t events_run) {
     }
   }
   heap_.clear();
+  for (Lane& lane : lanes_) {
+    if (lane.armed) {
+      RetireSlot(lane.slot);
+      lane.armed = false;
+    }
+  }
+  next_lane_ = nullptr;
   live_count_ = 0;
   cancelled_pending_ = 0;
   now_ = now;
@@ -137,16 +223,19 @@ void SimClock::ResetForRestore(SimTime now, uint64_t events_run) {
 
 void SimClock::RunUntil(SimTime until) {
   for (;;) {
-    // Skim tombstones first: a cancelled entry ahead of |until| must not let
-    // PopAndRunLive reach past the deadline to the next live event.
-    while (!heap_.empty() && !IsLive(heap_.front())) {
-      PopTop();
-      --cancelled_pending_;
-    }
-    if (heap_.empty() || heap_.front().when > until) {
+    // Skim tombstones first: a cancelled entry ahead of |until| must not
+    // let the deadline check below read past it to the next live event.
+    SkimTombstones();
+    if (LaneRunsNext()) {
+      if (next_lane_->when > until) {
+        break;
+      }
+      RunLane();
+    } else if (!heap_.empty() && heap_.front().when <= until) {
+      RunHeapFront();
+    } else {
       break;
     }
-    PopAndRunLive();
   }
   if (now_ < until) {
     now_ = until;

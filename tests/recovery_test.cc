@@ -5,14 +5,19 @@
 // any checkpoint cadence, and any executor thread count.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "src/core/drone.h"
 #include "src/exec/fleet_executor.h"
 #include "src/exec/fleet_world.h"
 #include "src/exec/world_template.h"
 #include "src/obs/trace.h"
 #include "src/snapshot/checkpoint.h"
+#include "src/snapshot/snapshot.h"
 
 namespace androne {
 namespace {
@@ -218,6 +223,111 @@ TEST(RecoveryEquivalenceTest, ReplayFromTemplateBlobStaysBitIdentical) {
   EXPECT_EQ(restored.recovery.crashes, 2);
   EXPECT_EQ(restored.recovery.restores, 2);
   ExpectEquivalent(baseline, restored, "checkpoint restore under templates");
+}
+
+// A booted drone on its own clock plus two heap probes that share one
+// deadline with the flight controller's fast-loop lane: "before" was
+// scheduled ahead of the lane's arming and "after" behind it, so the fast
+// tick must run between them. Each probe records the fast-loop count it
+// observes, which pins the order in which the discrete layer sees the
+// continuous one.
+class TiedDrone {
+ public:
+  explicit TiedDrone(bool warmup) {
+    AnDroneOptions options;
+    options.base = GeoPoint{43.6084298, -85.8110359, 0};
+    options.seed = 5;
+    options.boot_warmup = warmup;
+    system_ = std::make_unique<AnDroneSystem>(&clock_, options);
+  }
+
+  Status Boot() { return system_->Boot(); }
+
+  void ArmProbe(const std::string& key, SimTime when) {
+    probes_[key] = clock_.ScheduleAt(when, [this, key] {
+      seen_.emplace_back(key, system_->flight().fast_loop_count());
+    });
+  }
+
+  std::string Save() {
+    SnapshotWriter w;
+    TimerRegistry timers;
+    w.U64(clock_.now());
+    w.U64(clock_.events_run());
+    system_->SaveState(w, timers);
+    for (const auto& [key, id] : probes_) {
+      SimTime when = 0;
+      uint64_t seq = 0;
+      if (clock_.PendingInfo(id, &when, &seq)) {
+        timers.Add(key, when, seq);
+      }
+    }
+    timers.Persist(w);
+    return w.Take();
+  }
+
+  Status Restore(const std::string& blob) {
+    SnapshotReader r(blob);
+    uint64_t now = 0;
+    uint64_t events_run = 0;
+    RETURN_IF_ERROR(r.U64(&now));
+    RETURN_IF_ERROR(r.U64(&events_run));
+    RETURN_IF_ERROR(system_->RestoreState(r));
+    clock_.ResetForRestore(static_cast<SimTime>(now), events_run);
+    TimerRearmer rearmer;
+    system_->RegisterTimers(rearmer);
+    for (const char* key : {"probe.before", "probe.after"}) {
+      rearmer.Register(key, [this, key](SimTime when) { ArmProbe(key, when); });
+    }
+    return rearmer.Replay(r);
+  }
+
+  SimClock& clock() { return clock_; }
+  const std::vector<std::pair<std::string, uint64_t>>& seen() const {
+    return seen_;
+  }
+
+ private:
+  SimClock clock_;
+  std::unique_ptr<AnDroneSystem> system_;
+  std::map<std::string, EventId> probes_;
+  std::vector<std::pair<std::string, uint64_t>> seen_;
+};
+
+TEST(RecoveryEquivalenceTest, LaneAndHeapTieAtCheckpointRestoresInOrder) {
+  // Boot warms up to 2 s; the 400 Hz fast loop ticks every 2.5 ms.
+  const SimTime tie = Millis(2100);
+  TiedDrone baseline(/*warmup=*/true);
+  ASSERT_TRUE(baseline.Boot().ok());
+  baseline.ArmProbe("probe.before", tie);
+  // The last tick before the tie re-arms the fast-loop lane at the tie.
+  baseline.clock().RunUntil(tie - Micros(2500));
+  baseline.ArmProbe("probe.after", tie);
+  const std::string blob = baseline.Save();
+  baseline.clock().RunUntil(Seconds(5));
+  const std::string baseline_end = baseline.Save();
+
+  ASSERT_EQ(baseline.seen().size(), 2u);
+  EXPECT_EQ(baseline.seen()[0].first, "probe.before");
+  EXPECT_EQ(baseline.seen()[1].first, "probe.after");
+  EXPECT_EQ(baseline.seen()[1].second, baseline.seen()[0].second + 1)
+      << "the fast tick at the tie must run between the probes";
+
+  // Restore onto a structure-only boot (the clone path) and onto a fully
+  // warmed-up boot whose own lanes and heap events the restore must drop
+  // (the crash-recovery path).
+  for (bool warmup : {false, true}) {
+    const std::string label = warmup ? "recovery path" : "clone path";
+    TiedDrone restored(warmup);
+    ASSERT_TRUE(restored.Boot().ok()) << label;
+    ASSERT_TRUE(restored.Restore(blob).ok()) << label;
+    EXPECT_EQ(restored.Save(), blob) << label << ": not a byte fixed point";
+    restored.clock().RunUntil(Seconds(5));
+    EXPECT_EQ(restored.seen(), baseline.seen()) << label;
+    EXPECT_EQ(restored.clock().events_run(), baseline.clock().events_run())
+        << label;
+    EXPECT_EQ(restored.Save(), baseline_end) << label;
+  }
 }
 
 TEST(RecoveryEquivalenceTest, GiveUpAfterRestoreBudgetIsScenarioOutcome) {
