@@ -196,16 +196,20 @@ TEST(FleetExecutorTest, RequestCancelStopsRemainingWorlds) {
   FleetOptions options;
   options.threads = 2;
   FleetExecutor executor(options);
-  FleetReport report = executor.Run(40, [&](const WorldContext& ctx) {
-    if (ctx.index == 0) {
+  // The first world to start cancels the rest. Keying this on a world index
+  // would race the pool: workers pop their own deques newest-first, so
+  // every other world may already have run by the time that index starts.
+  std::atomic<bool> first{true};
+  FleetReport report = executor.Run(40, [&](const WorldContext&) {
+    if (first.exchange(false)) {
       executor.RequestCancel();
     }
     WorldResult r;
     r.completed = true;
     return r;
   });
-  // World 0 cancels the rest; some already-started worlds may finish, but
-  // far from all 40 run.
+  // Worlds already started on the other worker may finish, but far from all
+  // 40 run.
   EXPECT_GT(report.cancelled, 0);
 }
 

@@ -181,6 +181,11 @@ struct CyclictestScenario {
   double max_hi;
 };
 
+// Without this gtest prints the parameter as raw bytes, which include the
+// |name| pointer: the listed test names would then change with every load
+// address.
+void PrintTo(const CyclictestScenario& sc, std::ostream* os) { *os << sc.name; }
+
 LoadProfile ScenarioLoad(int which) {
   switch (which) {
     case 0:
