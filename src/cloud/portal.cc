@@ -48,8 +48,9 @@ StatusOr<OrderConfirmation> Portal::OrderVirtualDrone(
   if (request.waypoints.empty()) {
     return InvalidArgumentError("an order needs at least one waypoint");
   }
-  if (request.max_duration_s <= 0 ||
-      request.max_duration_s > config_.max_duration_s) {
+  // Written so that a NaN duration fails too.
+  if (!(request.max_duration_s > 0 &&
+        request.max_duration_s <= config_.max_duration_s)) {
     return InvalidArgumentError("max-duration outside the provider's limits");
   }
 

@@ -1,6 +1,8 @@
 #include "src/core/definition.h"
 
 #include <algorithm>
+#include <cmath>
+#include <string_view>
 
 #include "src/services/permissions.h"
 
@@ -73,47 +75,74 @@ StatusOr<VirtualDroneDefinition> VirtualDroneDefinition::FromJson(
 }
 
 std::string VirtualDroneDefinition::ToJson() const {
-  JsonObject root;
-  if (!id.empty()) {
-    root["id"] = id;
-  }
-  if (!owner.empty()) {
-    root["owner"] = owner;
-  }
-  JsonArray wps;
-  for (const WaypointSpec& wp : waypoints) {
-    JsonObject obj;
-    obj["latitude"] = wp.point.latitude_deg;
-    obj["longitude"] = wp.point.longitude_deg;
-    obj["altitude"] = wp.point.altitude_m;
-    obj["max-radius"] = wp.max_radius_m;
-    wps.push_back(JsonValue(std::move(obj)));
-  }
-  root["waypoints"] = JsonValue(std::move(wps));
-  root["max-duration"] = max_duration_s;
-  root["energy-allotted"] = energy_allotted_j;
-  auto to_array = [](const std::vector<std::string>& v) {
-    JsonArray arr;
-    for (const std::string& s : v) {
-      arr.push_back(JsonValue(s));
+  // Streams the fields in the sorted-key order a JsonObject would dump
+  // them in, so the stored text equals the canonical DumpPretty form.
+  std::string out;
+  JsonWriter w(out, /*pretty=*/true);
+  auto strings = [&w](std::string_view key,
+                      const std::vector<std::string>& values) {
+    w.Key(key);
+    w.BeginArray();
+    for (const std::string& s : values) {
+      w.String(s);
     }
-    return JsonValue(std::move(arr));
+    w.EndArray();
   };
-  root["continuous-devices"] = to_array(continuous_devices);
-  root["waypoint-devices"] = to_array(waypoint_devices);
-  root["apps"] = to_array(apps);
-  root["app-args"] = app_args;
-  return JsonValue(std::move(root)).DumpPretty();
+  w.BeginObject();
+  w.Key("app-args");
+  w.Value(app_args);
+  strings("apps", apps);
+  strings("continuous-devices", continuous_devices);
+  w.Key("energy-allotted");
+  w.Number(energy_allotted_j);
+  if (!id.empty()) {
+    w.Key("id");
+    w.String(id);
+  }
+  w.Key("max-duration");
+  w.Number(max_duration_s);
+  if (!owner.empty()) {
+    w.Key("owner");
+    w.String(owner);
+  }
+  strings("waypoint-devices", waypoint_devices);
+  w.Key("waypoints");
+  w.BeginArray();
+  for (const WaypointSpec& wp : waypoints) {
+    w.BeginObject();
+    w.Key("altitude");
+    w.Number(wp.point.altitude_m);
+    w.Key("latitude");
+    w.Number(wp.point.latitude_deg);
+    w.Key("longitude");
+    w.Number(wp.point.longitude_deg);
+    w.Key("max-radius");
+    w.Number(wp.max_radius_m);
+    w.EndObject();
+  }
+  w.EndArray();
+  w.EndObject();
+  return out;
 }
 
 Status VirtualDroneDefinition::Validate() const {
   if (waypoints.empty()) {
     return InvalidArgumentError("definition needs at least one waypoint");
   }
+  // A non-finite number would serialize as inf or nan, which is not JSON.
+  if (!std::isfinite(max_duration_s) || !std::isfinite(energy_allotted_j)) {
+    return InvalidArgumentError("allotments must be finite");
+  }
   if (max_duration_s <= 0 || energy_allotted_j <= 0) {
     return InvalidArgumentError("allotments must be positive");
   }
   for (const WaypointSpec& wp : waypoints) {
+    if (!std::isfinite(wp.max_radius_m) ||
+        !std::isfinite(wp.point.latitude_deg) ||
+        !std::isfinite(wp.point.longitude_deg) ||
+        !std::isfinite(wp.point.altitude_m)) {
+      return InvalidArgumentError("waypoint numbers must be finite");
+    }
     if (wp.max_radius_m <= 0) {
       return InvalidArgumentError("waypoint max-radius must be positive");
     }

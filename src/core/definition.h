@@ -33,11 +33,14 @@ struct VirtualDroneDefinition {
 
   // Parses the Figure-2 JSON format.
   static StatusOr<VirtualDroneDefinition> FromJson(const std::string& json);
+  // Pretty JSON with sorted keys: byte-identical to the DumpPretty of the
+  // equivalent JsonValue tree.
   std::string ToJson() const;
 
   // Structural rules from the paper: at least one waypoint; positive
   // allotments; only known device names; flight-control may only be a
-  // waypoint device, never continuous.
+  // waypoint device, never continuous. Every number must also be finite,
+  // since JSON cannot spell inf or NaN.
   Status Validate() const;
 
   bool WantsDevice(const std::string& device) const;

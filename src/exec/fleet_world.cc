@@ -68,6 +68,17 @@ uint64_t WallNowNs() {
 // template's post-boot state.
 constexpr SimTime kWarmupHorizon = Seconds(2);
 
+// Folds one fault window's every field into |fp|.
+uint64_t FoldWindow(const FaultWindowSpec& w, uint64_t fp) {
+  fp = Fnv1a64Value(w.kind, fp);
+  fp = Fnv1a64Value(w.scope, fp);
+  fp = Fnv1a64Value(w.start, fp);
+  fp = Fnv1a64Value(w.end, fp);
+  fp = Fnv1a64Value(w.p0, fp);
+  fp = Fnv1a64Value(w.p1, fp);
+  return Fnv1a64Value(w.d0, fp);
+}
+
 // Keys the template cache: ONLY config knobs that act before the
 // post-boot/pre-deploy boundary fold in. Everything that acts after the
 // boundary (tenants, dwell, planner effort, batching, downlink profile,
@@ -87,14 +98,16 @@ uint64_t TemplateFingerprint(const FleetWorldConfig& config) {
       if (w.start >= kWarmupHorizon || w.end <= 0) {
         continue;
       }
-      fp = Fnv1a64Value(w.kind, fp);
-      fp = Fnv1a64Value(w.scope, fp);
-      fp = Fnv1a64Value(w.start, fp);
-      fp = Fnv1a64Value(w.end, fp);
-      fp = Fnv1a64Value(w.p0, fp);
-      fp = Fnv1a64Value(w.p1, fp);
-      fp = Fnv1a64Value(w.d0, fp);
+      fp = FoldWindow(w, fp);
     }
+  }
+  return fp;
+}
+
+// Folds every window of |schedule|, in order, into |fp|.
+uint64_t FoldWindows(const FaultSchedule& schedule, uint64_t fp) {
+  for (const FaultWindowSpec& w : schedule.windows()) {
+    fp = FoldWindow(w, fp);
   }
   return fp;
 }
@@ -117,6 +130,14 @@ uint64_t ConfigFingerprint(const FleetWorldConfig& config) {
   fp = Fnv1a64Value(static_cast<int>(config.downlink_profile), fp);
   fp = Fnv1a64Value(config.net_faults != nullptr, fp);
   fp = Fnv1a64Value(config.sensor_faults != nullptr, fp);
+  // Plan contents, not just presence: a replay log or checkpoint recorded
+  // under one fault plan must not load into a world flying another.
+  if (config.net_faults != nullptr) {
+    fp = FoldWindows(config.net_faults->schedule(), fp);
+  }
+  if (config.sensor_faults != nullptr) {
+    fp = FoldWindows(config.sensor_faults->schedule(), fp);
+  }
   fp = Fnv1a64Value(config.crash_loop.count, fp);
   fp = Fnv1a64Value(config.crash_loop.start_s, fp);
   fp = Fnv1a64Value(config.crash_loop.period_s, fp);

@@ -169,7 +169,7 @@ std::string TraceRecorder::ExportChromeJson() const {
     }
     first = false;
     out += "{\"name\":\"";
-    out += JsonEscape(NameOf(ev.name_id));
+    AppendJsonEscaped(out, NameOf(ev.name_id));
     out += "\",\"cat\":\"";
     out += TraceCategoryName(ev.category);
     out += "\",\"ph\":\"";

@@ -1,9 +1,10 @@
 #include "src/util/json.h"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
+#include <system_error>
 
 namespace androne {
 
@@ -55,10 +56,16 @@ bool JsonValue::GetBoolOr(const std::string& key, bool fallback) const {
   return (v != nullptr && v->is_bool()) ? v->AsBool() : fallback;
 }
 
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (unsigned char c : s) {
+void AppendJsonEscaped(std::string& out, std::string_view s) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  size_t run = 0;  // Start of the pending run of bytes copied as is.
+  for (size_t i = 0; i < s.size(); ++i) {
+    const unsigned char c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') {
+      continue;
+    }
+    out.append(s.data() + run, i - run);
+    run = i + 1;
     switch (c) {
       case '"':
         out += "\\\"";
@@ -82,39 +89,49 @@ std::string JsonEscape(const std::string& s) {
         out += "\\t";
         break;
       default:
-        if (c < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += static_cast<char>(c);
-        }
+        out += "\\u00";
+        out += kHex[c >> 4];
+        out += kHex[c & 0xF];
     }
   }
+  out.append(s.data() + run, s.size() - run);
+}
+
+std::string JsonEscape(std::string_view s) {
+  std::string out;
+  out.reserve(s.size() + 2);
+  AppendJsonEscaped(out, s);
   return out;
 }
 
 namespace {
 
+// Integers below 1e15 print as integers; everything else takes the first
+// precision of 15, 16, 17 whose "%.*g" spelling parses back to |d|.
+// std::to_chars with a precision is defined as printf in the C locale and
+// std::from_chars as a correctly rounded strtod, so this is the printf
+// rule at a fraction of its cost.
 void AppendNumber(std::string& out, double d) {
+  char buf[32];
   if (std::isfinite(d) && d == std::floor(d) && std::fabs(d) < 1e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(d));
-    out += buf;
+    const auto res =
+        std::to_chars(buf, buf + sizeof(buf), static_cast<long long>(d));
+    out.append(buf, res.ptr);
     return;
   }
-  // Shortest representation that round-trips exactly.
-  char buf[40];
+  char* end = buf;
   for (int precision = 15; precision <= 17; ++precision) {
-    std::snprintf(buf, sizeof(buf), "%.*g", precision, d);
-    if (std::strtod(buf, nullptr) == d) {
+    end = std::to_chars(buf, buf + sizeof(buf), d, std::chars_format::general,
+                        precision)
+              .ptr;
+    double back = 0;
+    const auto parsed = std::from_chars(buf, end, back);
+    if (parsed.ec == std::errc() && back == d) {
       break;
     }
   }
-  out += buf;
+  out.append(buf, end);
 }
-
-void Indent(std::string& out, int n) { out.append(static_cast<size_t>(n) * 2, ' '); }
 
 }  // namespace
 
@@ -124,89 +141,116 @@ std::string FormatNumberCompact(double d) {
   return out;
 }
 
-void JsonValue::DumpTo(std::string& out, int indent, bool pretty) const {
-  switch (type()) {
+void JsonWriter::NewLine() {
+  out_ += '\n';
+  out_.append(static_cast<size_t>(depth_) * 2, ' ');
+}
+
+void JsonWriter::BeginElement() {
+  if (after_key_) {
+    after_key_ = false;
+    return;
+  }
+  if (depth_ == 0) {
+    return;  // The document's root value.
+  }
+  if (!empty_) {
+    out_ += ',';
+  }
+  empty_ = false;
+  if (pretty_) {
+    NewLine();
+  }
+}
+
+void JsonWriter::Open(char bracket) {
+  BeginElement();
+  out_ += bracket;
+  ++depth_;
+  empty_ = true;
+}
+
+void JsonWriter::Close(char bracket) {
+  --depth_;
+  if (!empty_ && pretty_) {
+    NewLine();
+  }
+  out_ += bracket;
+  // The closed container was itself an element of its parent.
+  empty_ = false;
+}
+
+void JsonWriter::Key(std::string_view key) {
+  BeginElement();
+  out_ += '"';
+  AppendJsonEscaped(out_, key);
+  out_ += pretty_ ? "\": " : "\":";
+  after_key_ = true;
+}
+
+void JsonWriter::Number(double d) {
+  BeginElement();
+  AppendNumber(out_, d);
+}
+
+void JsonWriter::String(std::string_view s) {
+  BeginElement();
+  out_ += '"';
+  AppendJsonEscaped(out_, s);
+  out_ += '"';
+}
+
+void JsonWriter::Bool(bool b) {
+  BeginElement();
+  out_ += b ? "true" : "false";
+}
+
+void JsonWriter::Null() {
+  BeginElement();
+  out_ += "null";
+}
+
+void JsonWriter::Value(const JsonValue& value) {
+  switch (value.type()) {
     case JsonType::kNull:
-      out += "null";
+      Null();
       return;
     case JsonType::kBool:
-      out += AsBool() ? "true" : "false";
+      Bool(value.AsBool());
       return;
     case JsonType::kNumber:
-      AppendNumber(out, AsDouble());
+      Number(value.AsDouble());
       return;
     case JsonType::kString:
-      out += '"';
-      out += JsonEscape(AsString());
-      out += '"';
+      String(value.AsString());
       return;
-    case JsonType::kArray: {
-      const JsonArray& arr = AsArray();
-      if (arr.empty()) {
-        out += "[]";
-        return;
+    case JsonType::kArray:
+      BeginArray();
+      for (const JsonValue& item : value.AsArray()) {
+        Value(item);
       }
-      out += '[';
-      bool first = true;
-      for (const JsonValue& v : arr) {
-        if (!first) {
-          out += ',';
-        }
-        first = false;
-        if (pretty) {
-          out += '\n';
-          Indent(out, indent + 1);
-        }
-        v.DumpTo(out, indent + 1, pretty);
-      }
-      if (pretty) {
-        out += '\n';
-        Indent(out, indent);
-      }
-      out += ']';
+      EndArray();
       return;
-    }
-    case JsonType::kObject: {
-      const JsonObject& obj = AsObject();
-      if (obj.empty()) {
-        out += "{}";
-        return;
+    case JsonType::kObject:
+      BeginObject();
+      for (const auto& [key, item] : value.AsObject()) {
+        Key(key);
+        Value(item);
       }
-      out += '{';
-      bool first = true;
-      for (const auto& [key, v] : obj) {
-        if (!first) {
-          out += ',';
-        }
-        first = false;
-        if (pretty) {
-          out += '\n';
-          Indent(out, indent + 1);
-        }
-        out += '"';
-        out += JsonEscape(key);
-        out += pretty ? "\": " : "\":";
-        v.DumpTo(out, indent + 1, pretty);
-      }
-      if (pretty) {
-        out += '\n';
-        Indent(out, indent);
-      }
-      out += '}';
+      EndObject();
       return;
-    }
   }
 }
 
 std::string JsonValue::Dump() const {
   std::string out;
-  DumpTo(out, 0, /*pretty=*/false);
+  JsonWriter(out, /*pretty=*/false).Value(*this);
   return out;
 }
 
 std::string JsonValue::DumpPretty() const {
   std::string out;
-  DumpTo(out, 0, /*pretty=*/true);
+  JsonWriter(out, /*pretty=*/true).Value(*this);
   return out;
 }
 
@@ -317,6 +361,11 @@ class Parser {
     double d = std::strtod(token.c_str(), &end);
     if (end == nullptr || *end != '\0') {
       return Error("invalid number '" + token + "'");
+    }
+    if (std::isinf(d)) {
+      // JSON has no infinity; an overflowing literal is not a number the
+      // serializer could write back.
+      return Error("number out of range '" + token + "'");
     }
     out = JsonValue(d);
     return OkStatus();

@@ -8,6 +8,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <variant>
 #include <vector>
 
@@ -75,8 +76,6 @@ class JsonValue {
   }
 
  private:
-  void DumpTo(std::string& out, int indent, bool pretty) const;
-
   std::variant<std::nullptr_t, bool, double, std::string, JsonArray,
                JsonObject>
       value_;
@@ -85,14 +84,56 @@ class JsonValue {
 // Parses a complete JSON document. Trailing garbage is an error.
 StatusOr<JsonValue> ParseJson(const std::string& text);
 
-// Escapes a string per JSON rules (used by the serializer; exposed for tests).
-std::string JsonEscape(const std::string& s);
+// Appends |s| escaped per JSON rules (no surrounding quotes): '"', '\\' and
+// control bytes are escaped, every other byte is copied as is.
+void AppendJsonEscaped(std::string& out, std::string_view s);
 
-// The serializer's number form: integers print without a decimal point, and
-// everything else uses the shortest representation that parses back to the
-// exact double. Shared by the scenario-manifest dumper, whose byte-stable
-// round-trip contract needs one canonical number spelling.
+// AppendJsonEscaped into a fresh string (exposed for tests).
+std::string JsonEscape(std::string_view s);
+
+// The serializer's number form: integers below 1e15 print without a decimal
+// point, and everything else uses the first of 15, 16 or 17 significant
+// digits ("%.*g") that parses back to the exact double. Shared by the
+// scenario-manifest dumper, whose byte-stable round-trip contract needs one
+// canonical number spelling.
 std::string FormatNumberCompact(double d);
+
+// The one JSON emitter: streams values into a caller-owned string and owns
+// the layout. Compact mode writes no whitespace. Pretty mode puts each
+// element on its own line indented two spaces per level and writes ": "
+// after a key. Empty containers print as {} and [] in both modes.
+// JsonValue::Dump/DumpPretty and hand-written serializers share it, so a
+// document streamed field by field is byte-identical to the dump of the
+// equivalent JsonValue tree. Inside an object every value must follow a
+// Key(); the writer does not check the call sequence.
+class JsonWriter {
+ public:
+  JsonWriter(std::string& out, bool pretty) : out_(out), pretty_(pretty) {}
+
+  void BeginObject() { Open('{'); }
+  void EndObject() { Close('}'); }
+  void BeginArray() { Open('['); }
+  void EndArray() { Close(']'); }
+  void Key(std::string_view key);
+  void Number(double d);
+  void String(std::string_view s);
+  void Bool(bool b);
+  void Null();
+  void Value(const JsonValue& value);
+
+ private:
+  // Writes the separator and line break owed before the next value.
+  void BeginElement();
+  void Open(char bracket);
+  void Close(char bracket);
+  void NewLine();
+
+  std::string& out_;
+  const bool pretty_;
+  int depth_ = 0;
+  bool empty_ = true;       // The innermost open container has no element.
+  bool after_key_ = false;  // The next value belongs to the last Key().
+};
 
 }  // namespace androne
 

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <iterator>
+#include <limits>
+#include <string>
+
 #include "src/cloud/billing.h"
 #include "src/cloud/conflicts.h"
 #include "src/cloud/energy_model.h"
@@ -9,6 +14,9 @@
 #include "src/cloud/vdr.h"
 #include "src/core/definition.h"
 #include "src/core/manifest.h"
+#include "src/services/permissions.h"
+#include "src/util/json.h"
+#include "src/util/rng.h"
 
 namespace androne {
 namespace {
@@ -292,6 +300,174 @@ TEST(DefinitionTest, RejectsInvalidDefinitions) {
   EXPECT_FALSE(VirtualDroneDefinition::FromJson(kBadCoord).ok());
 }
 
+TEST(DefinitionTest, RejectsNonFiniteNumbers) {
+  // 1e999 overflows to inf, which ToJson could only write as the non-JSON
+  // token "inf".
+  const char kHuge[] = R"({
+    "waypoints": [{"latitude": 0, "longitude": 0, "altitude": 10}],
+    "energy-allotted": 1e999
+  })";
+  EXPECT_FALSE(VirtualDroneDefinition::FromJson(kHuge).ok());
+
+  auto base = VirtualDroneDefinition::FromJson(kFig2Json);
+  ASSERT_TRUE(base.ok());
+  ASSERT_TRUE(base->Validate().ok());
+  const double kInf = std::numeric_limits<double>::infinity();
+  const double kNan = std::numeric_limits<double>::quiet_NaN();
+  for (double bad : {kInf, -kInf, kNan}) {
+    VirtualDroneDefinition def = *base;
+    def.max_duration_s = bad;
+    EXPECT_FALSE(def.Validate().ok()) << bad;
+    def = *base;
+    def.energy_allotted_j = bad;
+    EXPECT_FALSE(def.Validate().ok()) << bad;
+    def = *base;
+    def.waypoints[1].max_radius_m = bad;
+    EXPECT_FALSE(def.Validate().ok()) << bad;
+    def = *base;
+    def.waypoints[0].point.latitude_deg = bad;
+    EXPECT_FALSE(def.Validate().ok()) << bad;
+    def = *base;
+    def.waypoints[0].point.longitude_deg = bad;
+    EXPECT_FALSE(def.Validate().ok()) << bad;
+    def = *base;
+    def.waypoints[0].point.altitude_m = bad;
+    EXPECT_FALSE(def.Validate().ok()) << bad;
+  }
+}
+
+// Text that exercises the escaper: quotes, backslashes, control bytes,
+// DEL and multi-byte UTF-8, mixed with plain runs.
+std::string RandomText(Rng& rng) {
+  static const char* const kPieces[] = {"a",  "vd", "-",    "\"",     "\\",
+                                        "\n", "\t", "\x01", "\x1f",   "\x7f",
+                                        "/",  " ",  "\xc3\xa9", "com.x"};
+  std::string s;
+  const size_t len = rng.NextU64Below(6);
+  for (size_t i = 0; i < len; ++i) {
+    s += kPieces[rng.NextU64Below(std::size(kPieces))];
+  }
+  return s;
+}
+
+// A number as definitions carry them: integral or full-precision.
+double RandomNumber(Rng& rng, double lo, double hi) {
+  const double d = rng.Uniform(lo, hi);
+  return rng.Bernoulli(0.3) ? std::floor(d) : d;
+}
+
+JsonValue RandomArgs(Rng& rng, int depth) {
+  switch (rng.NextU64Below(depth > 2 ? 4 : 6)) {
+    case 0:
+      return JsonValue(nullptr);
+    case 1:
+      return JsonValue(rng.Bernoulli(0.5));
+    case 2:
+      return JsonValue(RandomNumber(rng, -1e6, 1e6));
+    case 3:
+      return JsonValue(RandomText(rng));
+    case 4: {
+      JsonArray arr;
+      for (uint64_t n = rng.NextU64Below(3); n > 0; --n) {
+        arr.push_back(RandomArgs(rng, depth + 1));
+      }
+      return JsonValue(std::move(arr));
+    }
+    default: {
+      JsonObject obj;
+      for (uint64_t n = rng.NextU64Below(3); n > 0; --n) {
+        obj[RandomText(rng)] = RandomArgs(rng, depth + 1);
+      }
+      return JsonValue(std::move(obj));
+    }
+  }
+}
+
+VirtualDroneDefinition RandomDefinition(Rng& rng) {
+  static const char* const kWaypointDevices[] = {
+      kDeviceCamera, kDeviceGps, kDeviceSensors, kDeviceMicrophone,
+      kDeviceFlightControl};
+  VirtualDroneDefinition def;
+  def.id = rng.Bernoulli(0.3) ? "" : RandomText(rng);
+  def.owner = rng.Bernoulli(0.3) ? "" : RandomText(rng);
+  for (uint64_t n = rng.NextU64Below(6); n > 0; --n) {
+    WaypointSpec wp;
+    wp.point.latitude_deg = RandomNumber(rng, -90, 90);
+    wp.point.longitude_deg = RandomNumber(rng, -180, 180);
+    wp.point.altitude_m = RandomNumber(rng, 0, 120);
+    wp.max_radius_m = RandomNumber(rng, 1, 500);
+    def.waypoints.push_back(wp);
+  }
+  def.max_duration_s = RandomNumber(rng, 1, 3600);
+  def.energy_allotted_j = RandomNumber(rng, 1, 90000);
+  for (const char* device : kWaypointDevices) {
+    if (rng.Bernoulli(0.4)) {
+      def.waypoint_devices.push_back(device);
+    }
+    if (device != std::string(kDeviceFlightControl) && rng.Bernoulli(0.3)) {
+      def.continuous_devices.push_back(device);
+    }
+  }
+  for (uint64_t n = rng.NextU64Below(3); n > 0; --n) {
+    def.apps.push_back(RandomText(rng));
+  }
+  switch (rng.NextU64Below(3)) {
+    case 0:
+      def.app_args = JsonValue(JsonObject{});
+      break;
+    case 1:
+      def.app_args = JsonValue();  // Unset: serializes as null.
+      break;
+    default: {
+      JsonObject args;
+      for (const std::string& app : def.apps) {
+        args[app] = RandomArgs(rng, 1);
+      }
+      def.app_args = JsonValue(std::move(args));
+    }
+  }
+  return def;
+}
+
+TEST(DefinitionTest, StreamedJsonIsCanonicalAndRoundTrips) {
+  // ToJson streams its fields without building a JsonValue tree; its text
+  // must still be exactly the tree's pretty dump (sorted keys, the shared
+  // layout), and parse back to the same definition.
+  Rng rng(0xdef5eedULL);
+  for (int i = 0; i < 2000; ++i) {
+    const VirtualDroneDefinition def = RandomDefinition(rng);
+    const std::string json = def.ToJson();
+    auto tree = ParseJson(json);
+    ASSERT_TRUE(tree.ok()) << tree.status() << "\n" << json;
+    ASSERT_EQ(json, tree->DumpPretty()) << "definition " << i;
+
+    auto back = VirtualDroneDefinition::FromJson(json);
+    if (def.waypoints.empty()) {
+      EXPECT_FALSE(back.ok()) << "definition " << i;
+      continue;
+    }
+    ASSERT_TRUE(back.ok()) << back.status() << "\n" << json;
+    EXPECT_EQ(back->id, def.id);
+    EXPECT_EQ(back->owner, def.owner);
+    ASSERT_EQ(back->waypoints.size(), def.waypoints.size());
+    for (size_t w = 0; w < def.waypoints.size(); ++w) {
+      EXPECT_EQ(back->waypoints[w].point.latitude_deg,
+                def.waypoints[w].point.latitude_deg);
+      EXPECT_EQ(back->waypoints[w].point.longitude_deg,
+                def.waypoints[w].point.longitude_deg);
+      EXPECT_EQ(back->waypoints[w].point.altitude_m,
+                def.waypoints[w].point.altitude_m);
+      EXPECT_EQ(back->waypoints[w].max_radius_m, def.waypoints[w].max_radius_m);
+    }
+    EXPECT_EQ(back->max_duration_s, def.max_duration_s);
+    EXPECT_EQ(back->energy_allotted_j, def.energy_allotted_j);
+    EXPECT_EQ(back->continuous_devices, def.continuous_devices);
+    EXPECT_EQ(back->waypoint_devices, def.waypoint_devices);
+    EXPECT_EQ(back->apps, def.apps);
+    EXPECT_EQ(back->app_args, def.app_args);
+  }
+}
+
 // ------------------------------------------------------------- Manifest.
 
 const char kSurveyManifest[] = R"(
@@ -413,6 +589,15 @@ TEST_F(PortalTest, RejectsUnknownApp) {
   request.apps = {"com.example.absent"};
   EXPECT_EQ(portal_.OrderVirtualDrone(request).status().code(),
             StatusCode::kNotFound);
+}
+
+TEST_F(PortalTest, RejectsNanDuration) {
+  // NaN fails both "<= 0" and "> max"; the range check must still refuse it.
+  OrderRequest request = BasicRequest();
+  request.max_duration_s = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(portal_.OrderVirtualDrone(request).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_TRUE(vdr_.List().empty());
 }
 
 TEST_F(PortalTest, RejectsOversizedGeofence) {

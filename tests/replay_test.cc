@@ -173,6 +173,43 @@ TEST(ReplayTest, ReplayAgainstDifferentConfigIsAnInfraFailure) {
   EXPECT_TRUE(result.infra_failure);
 }
 
+TEST(ReplayTest, ReplayUnderADifferentSensorFaultPlanIsAnInfraFailure) {
+  // Same seed, same knobs, same fault kinds: only the GPS jump's size
+  // differs. The log describes the 5 m world, so the 40 m world must refuse
+  // it instead of replaying the recording's flight and digest.
+  SensorFaultPlan small_jump;
+  ASSERT_TRUE(small_jump.AddGpsJump(Seconds(10), Seconds(5), 5, 0).ok());
+  SensorFaultPlan large_jump;
+  ASSERT_TRUE(large_jump.AddGpsJump(Seconds(10), Seconds(5), 40, 0).ok());
+
+  ReplayLogStore store;
+  FleetWorldConfig record_config = SmallConfig();
+  record_config.sensor_faults = &small_jump;
+  record_config.record_into = &store;
+  WorldResult recorded = RunFleetWorld(record_config, MakeContext(17));
+  ASSERT_TRUE(recorded.completed);
+
+  FleetWorldConfig fresh_config = SmallConfig();
+  fresh_config.sensor_faults = &large_jump;
+  WorldResult fresh = RunFleetWorld(fresh_config, MakeContext(17));
+  ASSERT_TRUE(fresh.completed);
+  EXPECT_NE(fresh.digest, recorded.digest) << "the plans fly alike";
+
+  FleetWorldConfig replay_config = fresh_config;
+  replay_config.replay_from = &store;
+  WorldResult replayed = RunFleetWorld(replay_config, MakeContext(17));
+  EXPECT_TRUE(replayed.infra_failure);
+  EXPECT_FALSE(replayed.replay.digest_match);
+
+  // The matching plan still replays.
+  FleetWorldConfig same_config = record_config;
+  same_config.record_into = nullptr;
+  same_config.replay_from = &store;
+  WorldResult same = RunFleetWorld(same_config, MakeContext(17));
+  EXPECT_FALSE(same.infra_failure);
+  EXPECT_TRUE(same.replay.digest_match);
+}
+
 TEST(ReplayTest, RecordOrReplayRejectsCrashChaos) {
   // The recovery loop re-runs ticks after a restore, which would duplicate
   // (record) or desynchronize (replay) the log — the combination is
@@ -440,20 +477,25 @@ TEST(TimeGovernorTest, ParseSpeedValidates) {
 }
 
 TEST(TimeGovernorTest, GovernedWorldKeepsItsDigest) {
-  // A high --speed on a small world: pacing sleeps the worker but never
-  // touches the SimClock, so every digest is identical to the unthrottled
-  // run. The speed is far below the world's unthrottled sim-to-wall ratio,
-  // so at least one Pace() call must actually sleep.
+  // Pacing sleeps the worker but never touches the SimClock, so every
+  // digest is identical to the unthrottled run. The speed is a tenth of
+  // the unthrottled run's own sim-to-wall ratio, so at least one Pace()
+  // call must actually sleep however fast the build runs (sanitized
+  // builds run far slower than optimized ones).
   WorldResult plain = RunFleetWorld(SmallConfig(), MakeContext(44));
   ASSERT_TRUE(plain.completed);
   EXPECT_EQ(plain.replay.governor_sleeps, 0);
+  const double sim_s = plain.counters.at("flight_time_s");
+  const double wall_s = static_cast<double>(plain.provision.fly_ns) / 1e9;
+  ASSERT_GT(sim_s, 0);
+  ASSERT_GT(wall_s, 0);
 
   FleetWorldConfig config = SmallConfig();
-  config.speed = 500;
+  config.speed = sim_s / wall_s / 10;
   WorldResult governed = RunFleetWorld(config, MakeContext(44));
-  EXPECT_GT(governed.replay.governor_sleeps, 0);
+  EXPECT_GT(governed.replay.governor_sleeps, 0) << "speed " << config.speed;
   EXPECT_GT(governed.replay.governor_slept_us, 0);
-  ExpectEquivalent(plain, governed, "speed=500 vs unthrottled");
+  ExpectEquivalent(plain, governed, "governed vs unthrottled");
 }
 
 }  // namespace

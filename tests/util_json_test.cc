@@ -4,8 +4,12 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
+#include <vector>
 
 #include "src/util/rng.h"
 
@@ -62,6 +66,17 @@ TEST(JsonParseTest, RejectsMalformedInput) {
   EXPECT_FALSE(ParseJson("\"\\ud800\"").ok());  // Unpaired surrogate.
 }
 
+TEST(JsonParseTest, RejectsNumbersThatOverflowToInfinity) {
+  // JSON cannot spell infinity, so a literal that overflows a double is
+  // refused rather than read as inf and later written back as "inf".
+  EXPECT_FALSE(ParseJson("1e999").ok());
+  EXPECT_FALSE(ParseJson("-1e999").ok());
+  EXPECT_FALSE(ParseJson(R"({"energy-allotted": 1e999})").ok());
+  EXPECT_DOUBLE_EQ(ParseJson("1e308").value().AsDouble(), 1e308);
+  // Underflow is not an error: it reads as zero, which JSON can spell.
+  EXPECT_EQ(ParseJson("1e-400").value().AsDouble(), 0.0);
+}
+
 TEST(JsonParseTest, RejectsExcessiveNesting) {
   std::string deep(200, '[');
   deep += std::string(200, ']');
@@ -90,6 +105,240 @@ TEST(JsonDumpTest, PrettyOutputReparses) {
 TEST(JsonDumpTest, EscapesControlCharacters) {
   JsonValue v{std::string("a\x01z")};
   EXPECT_EQ(v.Dump(), "\"a\\u0001z\"");
+}
+
+// The printf/strtod number rule the serializer had before it moved to
+// std::to_chars/std::from_chars, kept as the reference the new spelling
+// must match byte for byte.
+std::string ReferenceNumber(double d) {
+  char buf[40];
+  if (std::isfinite(d) && d == std::floor(d) && std::fabs(d) < 1e15) {
+    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(d));
+    return buf;
+  }
+  for (int precision = 15; precision <= 17; ++precision) {
+    std::snprintf(buf, sizeof(buf), "%.*g", precision, d);
+    if (std::strtod(buf, nullptr) == d) {
+      break;
+    }
+  }
+  return buf;
+}
+
+// The escaper before it became run-based, kept as the byte reference.
+std::string ReferenceEscape(const std::string& s) {
+  std::string out;
+  for (unsigned char c : s) {
+    switch (c) {
+      case '"':
+        out += "\\\"";
+        break;
+      case '\\':
+        out += "\\\\";
+        break;
+      case '\b':
+        out += "\\b";
+        break;
+      case '\f':
+        out += "\\f";
+        break;
+      case '\n':
+        out += "\\n";
+        break;
+      case '\r':
+        out += "\\r";
+        break;
+      case '\t':
+        out += "\\t";
+        break;
+      default:
+        if (c < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+          out += buf;
+        } else {
+          out += static_cast<char>(c);
+        }
+    }
+  }
+  return out;
+}
+
+double FromBits(uint64_t bits) {
+  double d;
+  std::memcpy(&d, &bits, sizeof(d));
+  return d;
+}
+
+void ExpectNumberMatchesReference(double d) {
+  uint64_t bits;
+  std::memcpy(&bits, &d, sizeof(bits));
+  EXPECT_EQ(FormatNumberCompact(d), ReferenceNumber(d))
+      << "bits " << std::hex << bits;
+}
+
+TEST(JsonNumberTest, RandomBitPatternsMatchPrintfReference) {
+  // Every exponent, subnormals, NaN of both signs and infinities.
+  Rng rng(0xb175ULL);
+  for (int i = 0; i < 100'000; ++i) {
+    ExpectNumberMatchesReference(FromBits(rng.NextU64()));
+  }
+  const double specials[] = {
+      0.0,
+      -0.0,
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(),
+      std::numeric_limits<double>::quiet_NaN(),
+      -std::numeric_limits<double>::quiet_NaN(),
+      std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(),
+      std::numeric_limits<double>::min(),
+      std::numeric_limits<double>::max(),
+      std::numeric_limits<double>::lowest(),
+      std::numeric_limits<double>::epsilon(),
+  };
+  for (double d : specials) {
+    ExpectNumberMatchesReference(d);
+  }
+}
+
+TEST(JsonNumberTest, IntegersNearTheIntegralCutoffMatchPrintfReference) {
+  for (double base : {1e15, -1e15}) {
+    for (int k = -2000; k <= 2000; ++k) {
+      const double d = base + k;
+      ExpectNumberMatchesReference(d);
+      ExpectNumberMatchesReference(d + 0.5);
+      ExpectNumberMatchesReference(std::nextafter(d, 0.0));
+      ExpectNumberMatchesReference(std::nextafter(d, 2 * d));
+    }
+  }
+  for (int64_t i = -100'000; i <= 100'000; i += 7) {
+    ExpectNumberMatchesReference(static_cast<double>(i));
+  }
+}
+
+TEST(JsonNumberTest, EveryDecadeAndItsNeighborsMatchPrintfReference) {
+  // 1e-330 (below the smallest subnormal) through 1e308, each power of ten
+  // with its neighbours one ULP away and a few mantissas in between.
+  for (int exp = -330; exp <= 308; ++exp) {
+    const double decade = std::strtod(("1e" + std::to_string(exp)).c_str(),
+                                      nullptr);
+    for (double mantissa : {1.0, 1.5, 2.5, 3.3333333333333335, 9.99}) {
+      const double d = decade * mantissa;
+      for (double v : {d, std::nextafter(d, 0.0),
+                       std::nextafter(d, std::numeric_limits<double>::max())}) {
+        ExpectNumberMatchesReference(v);
+        ExpectNumberMatchesReference(-v);
+      }
+    }
+  }
+}
+
+TEST(JsonNumberTest, CoordinateLikeValuesMatchPrintfReference) {
+  // The values definitions actually carry: degrees and metres with 15-17
+  // significant digits.
+  Rng rng(0xc0deULL);
+  for (int i = 0; i < 50'000; ++i) {
+    ExpectNumberMatchesReference(rng.Uniform(-180, 180));
+    ExpectNumberMatchesReference(rng.Uniform(0, 500) * 0.1);
+  }
+}
+
+TEST(JsonEscapeTest, EveryByteEscapesAsBefore) {
+  for (int b = 0; b < 256; ++b) {
+    const std::string s = std::string("a") + static_cast<char>(b) + "z";
+    const std::string expected = "\"" + ReferenceEscape(s) + "\"";
+    EXPECT_EQ(JsonValue(s).Dump(), expected) << "byte " << b;
+    JsonObject obj;
+    obj[s] = JsonValue(nullptr);
+    EXPECT_EQ(JsonValue(std::move(obj)).Dump(), "{" + expected + ":null}")
+        << "key byte " << b;
+    EXPECT_EQ(JsonEscape(s), ReferenceEscape(s)) << "byte " << b;
+  }
+  std::string all;
+  for (int b = 255; b >= 0; --b) {
+    all += static_cast<char>(b);
+    all += "run";
+  }
+  EXPECT_EQ(JsonEscape(all), ReferenceEscape(all));
+  EXPECT_EQ(JsonEscape(""), "");
+}
+
+// One nested value with empty containers at several depths.
+JsonValue LayoutSample() {
+  JsonObject b;
+  b["c"] = "x";
+  b["d"] = JsonArray{};
+  JsonObject root;
+  root["a"] = JsonArray{1, JsonObject{}, JsonArray{}, 2.5};
+  root["b"] = std::move(b);
+  root["e"] = JsonObject{};
+  root["f"] = JsonArray{JsonArray{true, nullptr}};
+  return JsonValue(std::move(root));
+}
+
+TEST(JsonDumpTest, CompactLayoutIsPinned) {
+  EXPECT_EQ(LayoutSample().Dump(),
+            R"({"a":[1,{},[],2.5],"b":{"c":"x","d":[]},"e":{},)"
+            R"("f":[[true,null]]})");
+  EXPECT_EQ(JsonValue(JsonObject{}).Dump(), "{}");
+  EXPECT_EQ(JsonValue(JsonArray{}).DumpPretty(), "[]");
+  EXPECT_EQ(JsonValue(-3).DumpPretty(), "-3");
+}
+
+TEST(JsonDumpTest, PrettyLayoutIsPinned) {
+  EXPECT_EQ(LayoutSample().DumpPretty(),
+            "{\n"
+            "  \"a\": [\n"
+            "    1,\n"
+            "    {},\n"
+            "    [],\n"
+            "    2.5\n"
+            "  ],\n"
+            "  \"b\": {\n"
+            "    \"c\": \"x\",\n"
+            "    \"d\": []\n"
+            "  },\n"
+            "  \"e\": {},\n"
+            "  \"f\": [\n"
+            "    [\n"
+            "      true,\n"
+            "      null\n"
+            "    ]\n"
+            "  ]\n"
+            "}");
+}
+
+TEST(JsonWriterTest, StreamedDocumentEqualsTreeDump) {
+  const JsonValue sample = LayoutSample();
+  for (bool pretty : {false, true}) {
+    std::string out;
+    JsonWriter w(out, pretty);
+    w.BeginObject();
+    w.Key("a");
+    w.BeginArray();
+    w.Number(1);
+    w.BeginObject();
+    w.EndObject();
+    w.BeginArray();
+    w.EndArray();
+    w.Number(2.5);
+    w.EndArray();
+    w.Key("b");
+    w.Value(*sample.Find("b"));
+    w.Key("e");
+    w.BeginObject();
+    w.EndObject();
+    w.Key("f");
+    w.BeginArray();
+    w.BeginArray();
+    w.Bool(true);
+    w.Null();
+    w.EndArray();
+    w.EndArray();
+    w.EndObject();
+    EXPECT_EQ(out, pretty ? sample.DumpPretty() : sample.Dump());
+  }
 }
 
 TEST(JsonValueTest, TypedLookupsWithDefaults) {
