@@ -11,7 +11,9 @@
 # Produces BENCH_fault_sweep.json at the repo root: the link fault sweep
 # (bench/fault_sweep) and the sensor fault sweep (bench/sensor_fault_sweep)
 # merged into one document. Fragments go to BENCH_*.json.tmp (gitignored);
-# the merged file is the committed record. Also refreshes
+# the merged file is the committed record. Every record is regenerated into
+# <record>.tmp and passes the digest-drift gate (scripts/digest_gate.py)
+# before it replaces the checked-in file. Also refreshes
 # BENCH_fleet_scale.json (bench/fleet_scale): fleet-executor throughput,
 # the thread-count-invariance digest check, and the boot-once/fork-many
 # cloning gates (grep "digests_match"/"clone_digest_match": true and
@@ -161,6 +163,15 @@ if [[ "${SKIP_ASAN:-0}" != "1" ]]; then
   rm -f BENCH_control_plane_asan.json.tmp
 fi
 
+# Digest-drift gate: every record below is written to <record>.tmp first;
+# scripts/digest_gate.py compares its digest keys (the metrics texts: every
+# byte) with the checked-in record, fails on the first difference, and only
+# then moves the fresh record into place. A change that moves a digest on
+# purpose commits the regenerated record.
+gate() {
+  python3 scripts/digest_gate.py "$1"
+}
+
 echo "=== benches: fault sweeps ==="
 ./build/bench/fault_sweep --json BENCH_link.json.tmp
 ./build/bench/sensor_fault_sweep --json BENCH_sensor.json.tmp
@@ -171,13 +182,16 @@ echo "=== benches: fault sweeps ==="
   printf ',\n'
   cat BENCH_sensor.json.tmp
   printf ']\n}\n'
-} > BENCH_fault_sweep.json
+} > BENCH_fault_sweep.json.tmp
 rm -f BENCH_link.json.tmp BENCH_sensor.json.tmp
+gate BENCH_fault_sweep.json
 echo "wrote BENCH_fault_sweep.json"
 
 echo "=== bench: fleet scale ==="
-./build/bench/fleet_scale --json BENCH_fleet_scale.json \
-    --metrics BENCH_fleet_metrics.txt
+./build/bench/fleet_scale --json BENCH_fleet_scale.json.tmp \
+    --metrics BENCH_fleet_metrics.txt.tmp
+gate BENCH_fleet_scale.json
+gate BENCH_fleet_metrics.txt
 echo "wrote BENCH_fleet_metrics.txt (merged fleet metric snapshot)"
 # Determinism gates: the fleet digest must be thread-count invariant AND
 # the templated (boot-once/fork-many) fleet must match the cold-booted
@@ -197,8 +211,11 @@ if ! grep -q '"clone_speedup_ge_3": true' BENCH_fleet_scale.json; then
 fi
 
 echo "=== bench: datapath throughput ==="
-./build/bench/datapath_throughput --json BENCH_datapath.json \
-    --trace BENCH_datapath_trace.json --metrics BENCH_datapath_metrics.txt
+./build/bench/datapath_throughput --json BENCH_datapath.json.tmp \
+    --trace BENCH_datapath_trace.json \
+    --metrics BENCH_datapath_metrics.txt.tmp
+gate BENCH_datapath.json
+gate BENCH_datapath_metrics.txt
 echo "wrote BENCH_datapath_trace.json (chrome://tracing) and" \
      "BENCH_datapath_metrics.txt"
 if ! grep -q '"flight_digest_match": true' BENCH_datapath.json; then
@@ -207,7 +224,8 @@ if ! grep -q '"flight_digest_match": true' BENCH_datapath.json; then
 fi
 
 echo "=== bench: recovery sweep ==="
-./build/bench/recovery_sweep --json BENCH_recovery.json
+./build/bench/recovery_sweep --json BENCH_recovery.json.tmp
+gate BENCH_recovery.json
 if ! grep -q '"digest_match": true' BENCH_recovery.json; then
   echo "FAIL: a crashed-and-recovered world diverged from its" \
        "uninterrupted twin" >&2
@@ -216,7 +234,8 @@ fi
 echo "wrote BENCH_recovery.json"
 
 echo "=== bench: replay sweep ==="
-./build/bench/replay_sweep --json BENCH_replay.json
+./build/bench/replay_sweep --json BENCH_replay.json.tmp
+gate BENCH_replay.json
 if ! grep -q '"digest_match": true' BENCH_replay.json; then
   echo "FAIL: a replayed world diverged from its recording run" >&2
   exit 1
@@ -228,7 +247,8 @@ fi
 echo "wrote BENCH_replay.json"
 
 echo "=== bench: control plane (full sweep) ==="
-./build/bench/control_plane_sweep --json BENCH_control_plane.json
+./build/bench/control_plane_sweep --json BENCH_control_plane.json.tmp
+gate BENCH_control_plane.json
 if ! grep -q '"deterministic": true' BENCH_control_plane.json; then
   echo "FAIL: control-plane report varied across repeats/thread counts" >&2
   exit 1
@@ -240,7 +260,8 @@ fi
 echo "wrote BENCH_control_plane.json"
 
 echo "=== bench: chaos campaign (full sweep) ==="
-./build/bench/campaign_sweep --json BENCH_campaign.json
+./build/bench/campaign_sweep --json BENCH_campaign.json.tmp
+gate BENCH_campaign.json
 if ! grep -q '"unexpected": 0' BENCH_campaign.json; then
   echo "FAIL: full campaign hit unexpected failure buckets" >&2
   exit 1

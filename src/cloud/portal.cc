@@ -110,8 +110,11 @@ StatusOr<OrderConfirmation> Portal::OrderVirtualDrone(
   }
   def.app_args = JsonValue(all_args);
 
-  def.id = "vd-" + std::to_string(next_order_++);
+  // The id is taken only once the definition is known good, so refused
+  // orders leave no gaps in the sequence.
+  def.id = "vd-" + std::to_string(next_order_);
   RETURN_IF_ERROR(def.Validate());
+  ++next_order_;
 
   OrderConfirmation confirmation;
   confirmation.vdrone_id = def.id;

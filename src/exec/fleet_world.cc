@@ -127,6 +127,11 @@ uint64_t ConfigFingerprint(const FleetWorldConfig& config) {
   fp = Fnv1a64Value(config.batch_flush_ms, fp);
   fp = Fnv1a64Value(config.memory_budget_mb, fp);
   fp = Fnv1a64Value(config.trace_categories, fp);
+  // A traced world saves its trace ring, whose size is the capacity; an
+  // untraced world has no ring, so its fingerprint keeps its old value.
+  if (config.trace_categories != 0) {
+    fp = Fnv1a64Value(config.trace_capacity, fp);
+  }
   fp = Fnv1a64Value(static_cast<int>(config.downlink_profile), fp);
   fp = Fnv1a64Value(config.net_faults != nullptr, fp);
   fp = Fnv1a64Value(config.sensor_faults != nullptr, fp);

@@ -105,18 +105,29 @@ AttitudeTarget PositionController::Update(double n, double e, double d,
   if (speed > limits_.max_speed_ms) {
     vn_sp *= limits_.max_speed_ms / speed;
     ve_sp *= limits_.max_speed_ms / speed;
+    // The rescaled vector's norm can round a hair above the limit, so the
+    // velocity stage must see its real norm.
+    speed = std::hypot(vn_sp, ve_sp);
   }
   double vd_sp =
       std::clamp(kAltP * (td - d), -limits_.max_climb_ms,
                  limits_.max_descent_ms);  // Down positive: climb negative.
-  return UpdateVelocity(vn, ve, vd, vn_sp, ve_sp, vd_sp, yaw, target_yaw, dt);
+  return VelocityStage(vn, ve, vd, vn_sp, ve_sp, vd_sp, speed, yaw,
+                       target_yaw, dt);
 }
 
 AttitudeTarget PositionController::UpdateVelocity(
     double vn, double ve, double vd, double target_vn, double target_ve,
     double target_vd, double yaw, double target_yaw, SimDuration dt) {
+  return VelocityStage(vn, ve, vd, target_vn, target_ve, target_vd,
+                       std::hypot(target_vn, target_ve), yaw, target_yaw, dt);
+}
+
+AttitudeTarget PositionController::VelocityStage(
+    double vn, double ve, double vd, double target_vn, double target_ve,
+    double target_vd, double speed, double yaw, double target_yaw,
+    SimDuration dt) {
   // Clamp requested velocities to the configured envelope.
-  double speed = std::hypot(target_vn, target_ve);
   if (speed > limits_.max_speed_ms) {
     target_vn *= limits_.max_speed_ms / speed;
     target_ve *= limits_.max_speed_ms / speed;

@@ -129,6 +129,14 @@ class PositionController {
   }
 
  private:
+  // UpdateVelocity after the caller computed |speed| =
+  // hypot(target_vn, target_ve), so Update's unclamped setpoint does not
+  // pay for the same hypot twice.
+  AttitudeTarget VelocityStage(double vn, double ve, double vd,
+                               double target_vn, double target_ve,
+                               double target_vd, double speed, double yaw,
+                               double target_yaw, SimDuration dt);
+
   double hover_throttle_;
   PositionControllerLimits limits_;
   PidLoop vel_n_pid_;

@@ -29,7 +29,8 @@ FlightController::FlightController(SimClock* clock, QuadPhysics* physics,
                                    Battery* battery,
                                    FlightControllerConfig config)
     : clock_(clock), physics_(physics), motors_(motors), sensors_(sensors),
-      battery_(battery), config_(config), estimator_(config.home),
+      battery_(battery), config_(config), home_frame_(config.home),
+      estimator_(config.home),
       // The window must outlast a sender's largest retransmission gap.
       deduper_(clock, /*window=*/Seconds(5)),
       position_ctrl_(physics->hover_throttle(), PositionControllerLimits{}),
@@ -150,7 +151,7 @@ void FlightController::PositionTick() {
 }
 
 NedPoint FlightController::EstimatedNed() const {
-  return ToNed(config_.home, estimator_.position().position);
+  return home_frame_.ToNed(estimator_.position().position);
 }
 
 void FlightController::SetLatencySampler(WakeLatencySampler* sampler) {
@@ -556,7 +557,7 @@ AttitudeTarget FlightController::ComputeModeTarget(SimDuration dt) {
                                    hold_target_.down_m, yaw, target_yaw_, dt);
     case CopterMode::kAuto: {
       if (mission_index_ < mission_.size()) {
-        NedPoint wp = ToNed(config_.home, mission_[mission_index_]);
+        NedPoint wp = home_frame_.ToNed(mission_[mission_index_]);
         double dist = std::hypot(wp.north_m - ned.north_m,
                                  wp.east_m - ned.east_m,
                                  wp.down_m - ned.down_m);
@@ -619,7 +620,7 @@ void FlightController::CheckFence() {
     fence_recovering_ = true;
     SendStatusText(MavSeverity::kWarning, "Geofence breached");
     NedPoint ned = EstimatedNed();
-    NedPoint center = ToNed(config_.home, fence_.center);
+    NedPoint center = home_frame_.ToNed(fence_.center);
     double dn = center.north_m - ned.north_m;
     double de = center.east_m - ned.east_m;
     double dist = std::max(1e-6, std::hypot(dn, de));
@@ -880,7 +881,7 @@ void FlightController::HandleSetPositionTarget(
   if ((sp.type_mask & kIgnorePosition) == 0) {
     GeoPoint target{sp.lat_int / 1e7, sp.lon_int / 1e7,
                     static_cast<double>(sp.alt)};
-    guided_target_ = ToNed(config_.home, target);
+    guided_target_ = home_frame_.ToNed(target);
     guided_velocity_.reset();
   } else if ((sp.type_mask & kIgnoreVelocity) == 0) {
     guided_velocity_ = NedPoint{sp.vx, sp.vy, sp.vz};

@@ -228,6 +228,8 @@ class FlightController {
   SensorSource* sensors_;
   Battery* battery_;
   FlightControllerConfig config_;
+  // NED frame around config_.home, built once: every tick converts through it.
+  LocalFrame home_frame_;
   std::function<double()> latency_source_;
   std::function<double()> battery_gauge_;
   PlaneRecorder plane_recorder_;

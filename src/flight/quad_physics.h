@@ -28,8 +28,9 @@ struct QuadParams {
   double linear_drag = 0.35;       // N per (m/s).
   double angular_drag = 0.04;      // N*m per (rad/s).
   // Electrical rotor power: P = idle + k * thrust^1.5 per motor
-  // (momentum theory), calibrated so hover draws ~170 W, matching the
-  // >100 W class consumer quad the paper references.
+  // (momentum theory; Step computes thrust^1.5 as t * sqrt(t)), calibrated
+  // so hover draws ~170 W, matching the >100 W class consumer quad the
+  // paper references.
   double motor_idle_power_w = 2.0;
   double rotor_power_coeff = 5.2;
 };
@@ -45,7 +46,7 @@ class QuadPhysics {
   const DroneGroundTruth& truth() const { return truth_; }
   DroneGroundTruth* mutable_truth() { return &truth_; }
 
-  const GeoPoint& home() const { return home_; }
+  const GeoPoint& home() const { return home_.origin(); }
   // Position in the local NED frame around home.
   NedPoint ned_position() const { return ned_; }
   double total_rotor_power_w() const { return truth_.rotor_power_w; }
@@ -104,7 +105,7 @@ class QuadPhysics {
   void UpdateGroundTruth();
 
   QuadParams params_;
-  GeoPoint home_;
+  LocalFrame home_;
   NedPoint ned_;                      // Position, m (down negative = up).
   NedPoint vel_;                      // Velocity, m/s.
   double roll_ = 0, pitch_ = 0, yaw_ = 0;

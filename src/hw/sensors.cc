@@ -40,18 +40,22 @@ Imu::Imu(SimClock* clock, const DroneGroundTruth* truth, uint64_t seed)
 StatusOr<ImuSample> Imu::ReadSample(ContainerId caller) {
   RETURN_IF_ERROR(CheckOpenBy(caller));
   ImuSample s;
-  s.gyro_rads = {truth_->roll_rate_rads + rng_.Gaussian(0, kGyroNoiseRads),
-                 truth_->pitch_rate_rads + rng_.Gaussian(0, kGyroNoiseRads),
-                 truth_->yaw_rate_rads + rng_.Gaussian(0, kGyroNoiseRads)};
+  // All six normals in one block, gyro x/y/z then accel x/y/z; each axis
+  // keeps Rng::Gaussian's mean + stddev * z form (mean 0).
+  double z[6];
+  rng_.FillStandardNormals(z, 6);
+  s.gyro_rads = {truth_->roll_rate_rads + (0.0 + kGyroNoiseRads * z[0]),
+                 truth_->pitch_rate_rads + (0.0 + kGyroNoiseRads * z[1]),
+                 truth_->yaw_rate_rads + (0.0 + kGyroNoiseRads * z[2])};
   // Body-frame specific force: at hover this reads -g on the z axis plus
   // the tilt components on x/y (small-angle approximation).
   double fz = -(kGravityMss + truth_->accel_up_mss);
   s.accel_mss = {
       kGravityMss * std::sin(truth_->pitch_rad) +
-          rng_.Gaussian(0, kAccelNoiseMss),
+          (0.0 + kAccelNoiseMss * z[3]),
       -kGravityMss * std::sin(truth_->roll_rad) +
-          rng_.Gaussian(0, kAccelNoiseMss),
-      fz + rng_.Gaussian(0, kAccelNoiseMss),
+          (0.0 + kAccelNoiseMss * z[4]),
+      fz + (0.0 + kAccelNoiseMss * z[5]),
   };
   s.timestamp = clock_->now();
   return s;

@@ -43,11 +43,29 @@ double Distance3dMeters(const GeoPoint& a, const GeoPoint& b);
 // Initial great-circle bearing from |from| to |to|, degrees in [0, 360).
 double BearingDeg(const GeoPoint& from, const GeoPoint& to);
 
-// Converts |p| to NED coordinates relative to |origin| (small-angle local
-// tangent plane approximation; fine for <10 km extents).
-NedPoint ToNed(const GeoPoint& origin, const GeoPoint& p);
+// A local tangent plane around a fixed origin (small-angle approximation;
+// fine for <10 km extents). cos(origin latitude) is computed once, so a
+// frame held for the life of a flight pays no trigonometry per conversion.
+class LocalFrame {
+ public:
+  explicit LocalFrame(const GeoPoint& origin);
 
-// Inverse of ToNed.
+  const GeoPoint& origin() const { return origin_; }
+
+  // Converts |p| to NED coordinates relative to the origin.
+  NedPoint ToNed(const GeoPoint& p) const;
+
+  // Inverse of ToNed.
+  GeoPoint FromNed(const NedPoint& ned) const;
+
+ private:
+  GeoPoint origin_;
+  double coslat_;
+};
+
+// One-shot conversions for an origin that moves between calls; a fixed
+// origin should hold a LocalFrame instead.
+NedPoint ToNed(const GeoPoint& origin, const GeoPoint& p);
 GeoPoint FromNed(const GeoPoint& origin, const NedPoint& ned);
 
 // Moves from |from| toward |to| by |distance_m| along the ground track,

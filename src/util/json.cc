@@ -343,18 +343,46 @@ class Parser {
     return OkStatus();
   }
 
-  Status ParseNumber(JsonValue& out) {
-    size_t start = pos_;
-    if (Consume('-')) {
+  bool AtDigit() const {
+    return pos_ < text_.size() &&
+           std::isdigit(static_cast<unsigned char>(text_[pos_]));
+  }
+
+  // Consumes one or more digits; false if none is there.
+  bool ConsumeDigits() {
+    if (!AtDigit()) {
+      return false;
     }
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '+' || text_[pos_] == '-')) {
+    while (AtDigit()) {
       ++pos_;
     }
-    if (pos_ == start) {
-      return Error("invalid value");
+    return true;
+  }
+
+  // RFC 8259 numbers only: -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?
+  // (strtod alone would also take "+5", ".5", "01", "1." and hex).
+  Status ParseNumber(JsonValue& out) {
+    size_t start = pos_;
+    Consume('-');
+    if (!AtDigit()) {
+      return Error(pos_ == start ? "invalid value" : "invalid number");
+    }
+    if (!Consume('0')) {
+      ConsumeDigits();
+    }
+    if (Consume('.') && !ConsumeDigits()) {
+      return Error("invalid number: no digits after '.'");
+    }
+    if (Consume('e') || Consume('E')) {
+      if (!Consume('+')) {
+        Consume('-');
+      }
+      if (!ConsumeDigits()) {
+        return Error("invalid number: no digits in exponent");
+      }
+    }
+    if (AtDigit()) {
+      return Error("invalid number: leading zero");
     }
     std::string token = text_.substr(start, pos_ - start);
     char* end = nullptr;

@@ -58,11 +58,7 @@ double Rng::Uniform(double lo, double hi) {
   return lo + (hi - lo) * NextDouble();
 }
 
-double Rng::NextGaussian() {
-  if (has_spare_gaussian_) {
-    has_spare_gaussian_ = false;
-    return spare_gaussian_;
-  }
+double Rng::DrawPolarPair() {
   double u, v, s;
   do {
     u = Uniform(-1.0, 1.0);
@@ -71,8 +67,33 @@ double Rng::NextGaussian() {
   } while (s >= 1.0 || s == 0.0);
   double m = std::sqrt(-2.0 * std::log(s) / s);
   spare_gaussian_ = v * m;
-  has_spare_gaussian_ = true;
   return u * m;
+}
+
+double Rng::NextGaussian() {
+  if (has_spare_gaussian_) {
+    has_spare_gaussian_ = false;
+    return spare_gaussian_;
+  }
+  has_spare_gaussian_ = true;
+  return DrawPolarPair();
+}
+
+void Rng::FillStandardNormals(double* out, int n) {
+  int i = 0;
+  if (n > 0 && has_spare_gaussian_) {
+    has_spare_gaussian_ = false;
+    out[i++] = spare_gaussian_;
+  }
+  // Each pair leaves its second normal in spare_gaussian_ with the latch
+  // clear, exactly as two sequential NextGaussian() calls would.
+  for (; i + 1 < n; i += 2) {
+    out[i] = DrawPolarPair();
+    out[i + 1] = spare_gaussian_;
+  }
+  if (i < n) {
+    out[i] = NextGaussian();
+  }
 }
 
 double Rng::Gaussian(double mean, double stddev) {

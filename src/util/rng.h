@@ -33,6 +33,11 @@ class Rng {
   // Standard normal via Marsaglia polar method.
   double NextGaussian();
 
+  // Writes |n| standard normals to |out|: the same values, in the same
+  // order and leaving the same state, as |n| NextGaussian() calls (a
+  // latched spare is emitted first), without the per-draw latch round trip.
+  void FillStandardNormals(double* out, int n);
+
   // Normal with the given mean and standard deviation.
   double Gaussian(double mean, double stddev);
 
@@ -70,6 +75,10 @@ class Rng {
   }
 
  private:
+  // One polar-method draw: returns the first normal of the pair and stores
+  // the second in spare_gaussian_ (the latch flag is the caller's).
+  double DrawPolarPair();
+
   uint64_t state_[4];
   bool has_spare_gaussian_ = false;
   double spare_gaussian_ = 0.0;

@@ -635,6 +635,19 @@ TEST_F(PortalTest, OrderIdsAreUnique) {
   EXPECT_EQ(vdr_.List().size(), 2u);
 }
 
+TEST_F(PortalTest, RefusedOrderDoesNotConsumeAnId) {
+  auto first = portal_.OrderVirtualDrone(BasicRequest());
+  ASSERT_TRUE(first.ok()) << first.status();
+  EXPECT_EQ(first->vdrone_id, "vd-1");
+  OrderRequest bad = BasicRequest();
+  bad.extra_waypoint_devices = {"x-ray"};
+  EXPECT_EQ(portal_.OrderVirtualDrone(bad).status().code(),
+            StatusCode::kInvalidArgument);
+  auto second = portal_.OrderVirtualDrone(BasicRequest());
+  ASSERT_TRUE(second.ok()) << second.status();
+  EXPECT_EQ(second->vdrone_id, "vd-2");
+}
+
 TEST_F(PortalTest, OverrideNoticesReachTheRightTenants) {
   // A drone-wide safety override (empty vdrone id) is visible to every
   // tenant; a tenant-scoped notice only to its addressee.

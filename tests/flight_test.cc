@@ -1,12 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <string>
 
 #include "src/flight/controllers.h"
 #include "src/flight/estimator.h"
 #include "src/flight/flight_log.h"
 #include "src/flight/quad_physics.h"
 #include "src/flight/sitl.h"
+#include "src/util/rng.h"
 
 namespace androne {
 namespace {
@@ -58,6 +63,51 @@ TEST(QuadPhysicsTest, HoverPowerNear170W) {
   EXPECT_NEAR(quad.total_rotor_power_w(), 170.0, 25.0);
 }
 
+// Distance in units in the last place between two finite doubles of the
+// same sign.
+uint64_t UlpDistance(double a, double b) {
+  int64_t ia, ib;
+  std::memcpy(&ia, &a, sizeof(a));
+  std::memcpy(&ib, &b, sizeof(b));
+  return ia > ib ? static_cast<uint64_t>(ia - ib)
+                 : static_cast<uint64_t>(ib - ia);
+}
+
+TEST(QuadPhysicsTest, RotorPowerTermIsWithinTwoUlpOfPow) {
+  // The physics computes thrust^1.5 as t * sqrt(t).
+  const double max_thrust = QuadParams().max_thrust_per_motor_n;
+  const int kSteps = 1 << 20;
+  for (int i = 0; i <= kSteps; ++i) {
+    double t = max_thrust * i / kSteps;
+    ASSERT_LE(UlpDistance(t * std::sqrt(t), std::pow(t, 1.5)), 2u)
+        << "thrust " << t;
+  }
+  double neg_zero = -0.0;
+  EXPECT_EQ(neg_zero * std::sqrt(neg_zero), std::pow(neg_zero, 1.5));
+  EXPECT_FALSE(std::signbit(neg_zero * std::sqrt(neg_zero)));
+}
+
+TEST(QuadPhysicsTest, RotorPowerFollowsTheMomentumTheoryFormula) {
+  QuadParams params;
+  for (double throttle : {0.0, 0.1, 0.37, 0.5, 0.8, 1.0}) {
+    QuadPhysics quad(kHome, params);
+    MotorSet motors;
+    ASSERT_TRUE(motors.Open(0).ok());
+    ASSERT_TRUE(motors.Arm(0).ok());
+    ASSERT_TRUE(
+        motors.SetThrottles(0, {throttle, throttle, throttle, throttle})
+            .ok());
+    quad.Step(Micros(2500), motors);
+    double per_motor =
+        params.motor_idle_power_w +
+        params.rotor_power_coeff *
+            std::pow(throttle * params.max_thrust_per_motor_n, 1.5);
+    EXPECT_NEAR(quad.total_rotor_power_w(), 4 * per_motor,
+                1e-12 * (1 + 4 * per_motor))
+        << "throttle " << throttle;
+  }
+}
+
 TEST(QuadPhysicsTest, DifferentialThrustRolls) {
   QuadPhysics quad(kHome);
   MotorSet motors;
@@ -74,6 +124,69 @@ TEST(QuadPhysicsTest, DifferentialThrustRolls) {
     quad.Step(Micros(2500), motors);
   }
   EXPECT_GT(quad.truth().roll_rad, 0.01);
+}
+
+// ------------------------------------------------------------ Cascade.
+
+std::string PositionControllerState(const PositionController& c) {
+  SnapshotWriter w;
+  c.SaveState(w);
+  return w.Take();
+}
+
+void ExpectBitEqual(const AttitudeTarget& a, const AttitudeTarget& b) {
+  EXPECT_EQ(std::memcmp(&a.roll_rad, &b.roll_rad, sizeof(double)), 0);
+  EXPECT_EQ(std::memcmp(&a.pitch_rad, &b.pitch_rad, sizeof(double)), 0);
+  EXPECT_EQ(std::memcmp(&a.yaw_rad, &b.yaw_rad, sizeof(double)), 0);
+  EXPECT_EQ(std::memcmp(&a.thrust, &b.thrust, sizeof(double)), 0);
+}
+
+TEST(PositionControllerTest, UpdateIsBitEqualToItsVelocityStage) {
+  // Update's first stage spelled out as it has always been (position error
+  // -> speed-clamped velocity setpoint), handed to UpdateVelocity: Update
+  // must land on the same bits and the same PID state, whether or not its
+  // speed clamp fires.
+  constexpr double kPosP = 0.9;
+  constexpr double kAltP = 1.2;
+  PositionControllerLimits limits;
+  PositionController update(0.49, limits);
+  PositionController reference(0.49, limits);
+  Rng rng(404);
+  int clamped = 0;
+  for (int tick = 0; tick < 2000; ++tick) {
+    // Alternate near targets (no clamp) and far ones (clamped).
+    double reach = tick % 2 == 0 ? 4.0 : 60.0;
+    double n = rng.Uniform(-20, 20), e = rng.Uniform(-20, 20);
+    double d = rng.Uniform(-30, 0);
+    double vn = rng.Uniform(-5, 5), ve = rng.Uniform(-5, 5);
+    double vd = rng.Uniform(-2, 2);
+    double tn = n + rng.Uniform(-reach, reach);
+    double te = e + rng.Uniform(-reach, reach);
+    double td = d + rng.Uniform(-5, 5);
+    double yaw = rng.Uniform(-3, 3), target_yaw = rng.Uniform(-3, 3);
+    SimDuration dt = Micros(2500);
+
+    double vn_sp = kPosP * (tn - n);
+    double ve_sp = kPosP * (te - e);
+    double speed = std::hypot(vn_sp, ve_sp);
+    if (speed > limits.max_speed_ms) {
+      vn_sp *= limits.max_speed_ms / speed;
+      ve_sp *= limits.max_speed_ms / speed;
+      ++clamped;
+    }
+    double vd_sp = std::clamp(kAltP * (td - d), -limits.max_climb_ms,
+                              limits.max_descent_ms);
+    AttitudeTarget expected = reference.UpdateVelocity(
+        vn, ve, vd, vn_sp, ve_sp, vd_sp, yaw, target_yaw, dt);
+    AttitudeTarget got = update.Update(n, e, d, vn, ve, vd, tn, te, td, yaw,
+                                       target_yaw, dt);
+    SCOPED_TRACE(testing::Message() << "tick " << tick);
+    ExpectBitEqual(got, expected);
+    ASSERT_EQ(PositionControllerState(update),
+              PositionControllerState(reference));
+  }
+  EXPECT_GT(clamped, 500);
+  EXPECT_LT(clamped, 1500);
 }
 
 // ------------------------------------------------------------ Estimator.

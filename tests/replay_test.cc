@@ -210,6 +210,57 @@ TEST(ReplayTest, ReplayUnderADifferentSensorFaultPlanIsAnInfraFailure) {
   EXPECT_TRUE(same.replay.digest_match);
 }
 
+// The config fingerprint a recorded log carries: magic(8) + version(4) +
+// seed(8), then the fingerprint, little-endian.
+uint64_t LogFingerprint(const std::string& log) {
+  uint64_t fp = 0;
+  for (int i = 7; i >= 0; --i) {
+    fp = (fp << 8) | static_cast<uint8_t>(log.at(20 + static_cast<size_t>(i)));
+  }
+  return fp;
+}
+
+TEST(ReplayTest, TraceCapacityIsPartOfATracedWorldsIdentity) {
+  ReplayLogStore store;
+  FleetWorldConfig record_config = SmallConfig();
+  record_config.trace_capacity = 1 << 12;
+  record_config.record_into = &store;
+  ASSERT_TRUE(RunFleetWorld(record_config, MakeContext(23)).completed);
+
+  FleetWorldConfig bigger = SmallConfig();
+  bigger.trace_capacity = 1 << 13;
+  bigger.replay_from = &store;
+  EXPECT_TRUE(RunFleetWorld(bigger, MakeContext(23)).infra_failure);
+
+  FleetWorldConfig same = SmallConfig();
+  same.trace_capacity = 1 << 12;
+  same.replay_from = &store;
+  WorldResult replayed = RunFleetWorld(same, MakeContext(23));
+  EXPECT_FALSE(replayed.infra_failure);
+  EXPECT_TRUE(replayed.replay.digest_match);
+}
+
+TEST(ReplayTest, UntracedFingerprintIgnoresTraceCapacity) {
+  // An untraced world has no trace ring, so the capacity is not part of
+  // its identity and its fingerprint keeps the value it has always had.
+  ReplayLogStore store;
+  FleetWorldConfig record_config = SmallConfig();
+  record_config.trace_categories = 0;
+  record_config.record_into = &store;
+  ASSERT_TRUE(RunFleetWorld(record_config, MakeContext(29)).completed);
+  auto log = store.Get(29);
+  ASSERT_NE(log, nullptr);
+  EXPECT_EQ(LogFingerprint(*log), 0xec1e377becb2eb16ull);
+
+  FleetWorldConfig other_capacity = SmallConfig();
+  other_capacity.trace_categories = 0;
+  other_capacity.trace_capacity = 1 << 10;
+  other_capacity.replay_from = &store;
+  WorldResult replayed = RunFleetWorld(other_capacity, MakeContext(29));
+  EXPECT_FALSE(replayed.infra_failure);
+  EXPECT_TRUE(replayed.replay.digest_match);
+}
+
 TEST(ReplayTest, RecordOrReplayRejectsCrashChaos) {
   // The recovery loop re-runs ticks after a restore, which would duplicate
   // (record) or desynchronize (replay) the log — the combination is

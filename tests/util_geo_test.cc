@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <vector>
 
 #include "src/util/rng.h"
 
@@ -64,6 +67,93 @@ TEST(GeoTest, NedMatchesHaversineLocally) {
   NedPoint ned = ToNed(kWaypointA, kWaypointB);
   double ned_ground = std::hypot(ned.north_m, ned.east_m);
   EXPECT_NEAR(ned_ground, HaversineMeters(kWaypointA, kWaypointB), 0.5);
+}
+
+// The free-function formulas as they stood before LocalFrame, cos taken
+// per call; LocalFrame must reproduce them bit for bit.
+NedPoint ReferenceToNed(const GeoPoint& origin, const GeoPoint& p) {
+  double dlat = (p.latitude_deg - origin.latitude_deg) * kDegToRad;
+  double dlon = (p.longitude_deg - origin.longitude_deg) * kDegToRad;
+  double coslat = std::cos(origin.latitude_deg * kDegToRad);
+  return NedPoint{dlat * kEarthRadiusM, dlon * kEarthRadiusM * coslat,
+                  -(p.altitude_m - origin.altitude_m)};
+}
+
+GeoPoint ReferenceFromNed(const GeoPoint& origin, const NedPoint& ned) {
+  double coslat = std::cos(origin.latitude_deg * kDegToRad);
+  return GeoPoint{
+      origin.latitude_deg + (ned.north_m / kEarthRadiusM) * kRadToDeg,
+      origin.longitude_deg +
+          (ned.east_m / (kEarthRadiusM * coslat)) * kRadToDeg,
+      origin.altitude_m - ned.down_m};
+}
+
+uint64_t Bits(double v) {
+  uint64_t bits;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+void ExpectBitEqual(const NedPoint& a, const NedPoint& b) {
+  EXPECT_EQ(Bits(a.north_m), Bits(b.north_m));
+  EXPECT_EQ(Bits(a.east_m), Bits(b.east_m));
+  EXPECT_EQ(Bits(a.down_m), Bits(b.down_m));
+}
+
+void ExpectBitEqual(const GeoPoint& a, const GeoPoint& b) {
+  EXPECT_EQ(Bits(a.latitude_deg), Bits(b.latitude_deg));
+  EXPECT_EQ(Bits(a.longitude_deg), Bits(b.longitude_deg));
+  EXPECT_EQ(Bits(a.altitude_m), Bits(b.altitude_m));
+}
+
+TEST(GeoTest, LocalFrameIsBitEqualToThePerCallFormula) {
+  std::vector<GeoPoint> origins = {
+      kWaypointA,
+      {0.0, 0.0, 0.0},
+      {-0.0, -0.0, -0.0},
+      {89.9, 12.5, 3.0},
+      {-89.9, -170.0, 40.0},
+      {10.0, 179.999, 0.0},   // East of the antimeridian...
+      {-10.0, -179.999, 0.0}, // ...and west of it.
+  };
+  Rng rng(20191015);
+  for (int i = 0; i < 64; ++i) {
+    origins.push_back(GeoPoint{rng.Uniform(-89.9, 89.9),
+                               rng.Uniform(-180.0, 180.0),
+                               rng.Uniform(-50.0, 500.0)});
+  }
+  for (const GeoPoint& origin : origins) {
+    SCOPED_TRACE(origin.ToString());
+    LocalFrame frame(origin);
+    ExpectBitEqual(frame.origin(), origin);
+    std::vector<GeoPoint> points = {
+        origin,
+        {-0.0, -0.0, -0.0},
+        {origin.latitude_deg, -origin.longitude_deg, 0.0},
+        {origin.latitude_deg + 0.001, 179.9999, 10.0},
+        {origin.latitude_deg - 0.001, -179.9999, 10.0},
+    };
+    std::vector<NedPoint> offsets = {{0.0, 0.0, 0.0},
+                                     {-0.0, -0.0, -0.0},
+                                     {1500.0, -2500.0, -120.0}};
+    for (int k = 0; k < 16; ++k) {
+      points.push_back(GeoPoint{
+          origin.latitude_deg + rng.Uniform(-0.05, 0.05),
+          origin.longitude_deg + rng.Uniform(-0.05, 0.05),
+          rng.Uniform(-10.0, 120.0)});
+      offsets.push_back(NedPoint{rng.Uniform(-5000.0, 5000.0),
+                                 rng.Uniform(-5000.0, 5000.0),
+                                 rng.Uniform(-200.0, 10.0)});
+    }
+    for (const GeoPoint& p : points) {
+      ExpectBitEqual(frame.ToNed(p), ReferenceToNed(origin, p));
+      ExpectBitEqual(ToNed(origin, p), ReferenceToNed(origin, p));
+    }
+    for (const NedPoint& ned : offsets) {
+      ExpectBitEqual(frame.FromNed(ned), ReferenceFromNed(origin, ned));
+      ExpectBitEqual(FromNed(origin, ned), ReferenceFromNed(origin, ned));
+    }
+  }
 }
 
 TEST(GeoTest, MoveTowardReachesTarget) {

@@ -77,6 +77,29 @@ TEST(JsonParseTest, RejectsNumbersThatOverflowToInfinity) {
   EXPECT_EQ(ParseJson("1e-400").value().AsDouble(), 0.0);
 }
 
+TEST(JsonParseTest, NumbersFollowTheRfc8259Grammar) {
+  for (const char* bad : {"+5", ".5", "01", "1.", "1e", "--1", "-", "-.5",
+                          "00", "1.e5", "1e+", "0x10", "[01]",
+                          R"({"a": +5})"}) {
+    EXPECT_FALSE(ParseJson(bad).ok()) << bad;
+  }
+  struct Case {
+    const char* text;
+    double value;
+  };
+  for (const Case& c : {Case{"0", 0.0}, Case{"-0", -0.0}, Case{"7", 7.0},
+                        Case{"-12", -12.0}, Case{"0.5", 0.5},
+                        Case{"-0.25", -0.25}, Case{"1e3", 1e3},
+                        Case{"1E-3", 1e-3}, Case{"2.5e+2", 250.0},
+                        Case{"10", 10.0}, Case{"0e0", 0.0}}) {
+    auto v = ParseJson(c.text);
+    ASSERT_TRUE(v.ok()) << c.text << ": " << v.status().message();
+    EXPECT_EQ(v.value().AsDouble(), c.value) << c.text;
+    EXPECT_EQ(std::signbit(v.value().AsDouble()), std::signbit(c.value))
+        << c.text;
+  }
+}
+
 TEST(JsonParseTest, RejectsExcessiveNesting) {
   std::string deep(200, '[');
   deep += std::string(200, ']');

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 namespace androne {
 namespace {
@@ -92,6 +93,39 @@ TEST(RngTest, ForkProducesIndependentStream) {
     }
   }
   EXPECT_LT(same, 2);
+}
+
+bool SameState(const Rng::State& a, const Rng::State& b) {
+  return std::memcmp(a.s, b.s, sizeof(a.s)) == 0 &&
+         a.has_spare_gaussian == b.has_spare_gaussian &&
+         std::memcmp(&a.spare_gaussian, &b.spare_gaussian,
+                     sizeof(a.spare_gaussian)) == 0;
+}
+
+TEST(RngTest, FillStandardNormalsMatchesSequentialDraws) {
+  for (bool spare_latched : {false, true}) {
+    for (int n = 0; n <= 9; ++n) {
+      SCOPED_TRACE(testing::Message() << "n=" << n
+                                      << " spare=" << spare_latched);
+      Rng block(1000 + static_cast<uint64_t>(n));
+      if (spare_latched) {
+        (void)block.NextGaussian();  // Leaves the pair's second latched.
+      }
+      Rng sequential = block;
+      // Two rounds, so the second starts from whatever the first left.
+      for (int round = 0; round < 2; ++round) {
+        double out[9];
+        block.FillStandardNormals(out, n);
+        for (int i = 0; i < n; ++i) {
+          double expected = sequential.NextGaussian();
+          EXPECT_EQ(std::memcmp(&out[i], &expected, sizeof(double)), 0)
+              << "draw " << i << ": " << out[i] << " vs " << expected;
+        }
+        EXPECT_TRUE(SameState(block.SaveState(), sequential.SaveState()))
+            << "round " << round;
+      }
+    }
+  }
 }
 
 TEST(RngTest, LogNormalIsPositive) {
